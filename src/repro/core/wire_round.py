@@ -487,7 +487,7 @@ def run_two_layer_wire_round(
         )
     times = [p.global_model_time for p in peers if p.global_model_time is not None]
     finish = max(times) if completed and times else None
-    return WireRoundResult(
+    result = WireRoundResult(
         average=fed_leader_peer.global_model,
         outcome=outcome,
         finish_time_ms=finish,
@@ -498,6 +498,13 @@ def run_two_layer_wire_round(
         drops=trace.total_dropped,
         heap_stats=sim.heap_stats(),
     )
+    # Free the round (every peer and its share buffers) on return rather
+    # than at the next cyclic collection: the network and simulator drop
+    # the peers, and emptying the self-rescheduling check's closure cell
+    # breaks its function <-> cell cycle.
+    network.close()
+    del _check_fatal
+    return result
 
 
 def _run_parallel_round(
@@ -631,7 +638,7 @@ def _run_parallel_round(
         )
     times = [p.global_model_time for p in peers if p.global_model_time is not None]
     finish = max(times) if completed and times else None
-    return WireRoundResult(
+    result = WireRoundResult(
         average=fed_leader_peer.global_model,
         outcome=round_outcome,
         finish_time_ms=finish,
@@ -642,3 +649,5 @@ def _run_parallel_round(
         drops=trace.total_dropped + sum(o.dropped for o in outcomes),
         heap_stats=sim.heap_stats(),
     )
+    network.close()
+    return result

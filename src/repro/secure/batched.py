@@ -8,9 +8,10 @@ subgroup of ``n`` peers therefore pays ``O(n)`` numpy dispatches for
 share generation and ``O(n^2)`` for the seeded mask expansions.  This
 module hoists the owner loop into the array shape: a stacked
 ``(b, *shape)`` batch of secrets is split into ``(b, n, *shape)`` shares
-with a *single* RNG draw for all mask material, and each seeded mask is
-expanded exactly once (the per-peer path used to expand twice: once for
-the residual accumulation and once for ``materialize()``).
+with a *single* RNG draw for all mask material.  Seeded masks are
+expanded once each, straight into their rows of the output, by the
+helper the per-peer path shares
+(:func:`repro.secure.seedshare.expand_zero_sum_into`).
 
 Bit-compatibility contract (relied on by the regression gate and the
 property tests in ``tests/secure/test_batched.py``):
@@ -42,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .philox import expand_ring_batch
-from .seedshare import FLOAT_CODEC, SeedShare
+from .seedshare import FLOAT_CODEC, SeedShare, expand_zero_sum_into
 
 _MIN_SUM = 1e-3
 
@@ -193,8 +194,11 @@ def batched_seeded_zero_sum_dense(
 
     Equivalent to ``seeded_zero_sum_shares(..., residual_index=r_i)
     .materialize()`` per owner, but the ``(n-1) * b`` seeds come from one
-    RNG pass and each mask is expanded exactly once (the per-peer path
-    expands every mask twice).  Bitwise identical for every batch size.
+    RNG pass.  Each owner's split is filled by the same in-place
+    expansion helper the per-peer path uses
+    (:func:`~repro.secure.seedshare.expand_zero_sum_into`), so every
+    mask is expanded once, straight into its row, and the result is
+    bitwise identical for every batch size.
     """
     _check_n(n)
     stack = _as_batch(stack, dtype=np.float64)
@@ -204,24 +208,15 @@ def batched_seeded_zero_sum_dense(
     out = np.empty((b, n) + shape, dtype=np.float64)
     keys = batched_seed_keys(b * (n - 1), rng).reshape(b, max(n - 1, 0), 2)
     for i in range(b):
-        acc: np.ndarray | None = None
-        slot = 0
-        for j in range(n):
-            if j == res[i]:
-                continue
-            mask = SeedShare(
+        mask_rows = [j for j in range(n) if j != res[i]]
+        seeds = {
+            j: SeedShare(
                 _seed_int(keys[i, slot]), shape, FLOAT_CODEC,
                 mask_scale=mask_scale,
-            ).expand()
-            out[i, j] = mask
-            # Sequential accumulation: float addition is order-sensitive
-            # and the per-peer path adds masks left to right.
-            acc = mask if acc is None else acc + mask
-            slot += 1
-        if acc is None:
-            out[i, res[i]] = stack[i]
-        else:
-            np.subtract(stack[i], acc, out=out[i, res[i]])
+            )
+            for slot, j in enumerate(mask_rows)
+        }
+        expand_zero_sum_into(out[i], stack[i], seeds, res[i])
     return out
 
 

@@ -231,8 +231,13 @@ class SacProtocolPeer(SimNode):
             for origin in range(self.n):
                 part = self._bundles[origin][idx]
                 if isinstance(part, SeedShare):
+                    # The sender expanded this seed when it split its
+                    # model; the memo hands back that very array.
                     part = part.expand()
-                total = part.copy() if total is None else total + part
+                if total is None:
+                    total = part.copy()
+                else:
+                    total += part
             self._subtotals[idx] = total
         leader_holds = set(shares_held_by(self.leader_pos, self.n, self.k))
         if (
@@ -304,7 +309,10 @@ class SacProtocolPeer(SimNode):
         total = None
         for idx in range(self.n):
             v = self._subtotals[idx]
-            total = v.copy() if total is None else total + v
+            if total is None:
+                total = v.copy()
+            else:
+                total += v
         total /= self.n
         self.average = total
         self.finish_time = self.sim.now
@@ -613,7 +621,7 @@ def run_sac_protocol(
     else:
         outcome = classify_sac_timeout(leader_peer, network)
     recovered = tuple(sorted(leader_peer.recovered))
-    return ProtocolResult(
+    result = ProtocolResult(
         average=leader_peer.average,
         outcome=outcome,
         finish_time_ms=leader_peer.finish_time,
@@ -623,3 +631,9 @@ def run_sac_protocol(
         retransmits=network.reliable.retransmits if network.reliable else 0,
         drops=trace.total_dropped,
     )
+    # Free the round on return, not at the next cyclic collection (see
+    # Network.close); emptying the closure cell breaks _check_fatal's
+    # reference to itself.
+    network.close()
+    del _check_fatal
+    return result

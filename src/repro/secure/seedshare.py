@@ -77,6 +77,12 @@ class SeedShare:
     shape: tuple[int, ...]
     codec: str = FLOAT_CODEC
     mask_scale: float = 1.0
+    #: Read-only memo of the expanded mask, set by the first
+    #: :meth:`expand`.  It is a cache of what the other fields determine,
+    #: so ``==``, ``hash``, ``repr`` and pickles leave it out.
+    _mask: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.codec not in _CODECS:
@@ -84,12 +90,43 @@ class SeedShare:
         if not 0 <= self.seed < 2**SEED_KEY_BITS:
             raise ValueError("seed must fit the 128-bit Philox key")
 
-    def expand(self) -> np.ndarray:
-        """Materialize the mask share (deterministic in ``seed``)."""
+    def __getstate__(self) -> dict:
+        # Only the seed crosses a process boundary; the receiver expands.
+        return {**self.__dict__, "_mask": None}
+
+    def expand(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Materialize the mask share (deterministic in ``seed``).
+
+        The PRG runs on the first call only — into ``out`` when given, so
+        a sender can expand straight into its share matrix.  The mask is
+        memoised as a read-only array, which every later call (by any
+        holder of this object) returns without touching the PRG.
+        """
+        mask = self._mask
+        if mask is not None:
+            if out is not None:
+                np.copyto(out, mask)
+            return mask
+        if out is not None and out.shape != tuple(self.shape):
+            raise ValueError(f"out has shape {out.shape}, not {self.shape}")
         rng = _expander(self.seed)
         if self.codec == FLOAT_CODEC:
-            return rng.normal(0.0, self.mask_scale, size=self.shape)
-        return rng.integers(0, _RING_HIGH, size=self.shape, dtype=np.uint64)
+            mask = np.empty(self.shape) if out is None else out
+            # Generator.normal(0, s) computes 0.0 + s * z per draw; the
+            # same two operations in place keep every bit (the + 0.0
+            # turns a -0.0 draw into +0.0).
+            rng.standard_normal(out=mask)
+            mask *= self.mask_scale
+            mask += 0.0
+        else:
+            mask = rng.integers(0, _RING_HIGH, size=self.shape, dtype=np.uint64)
+            if out is not None:
+                out[...] = mask
+                mask = out
+        mask = mask.view()
+        mask.flags.writeable = False
+        object.__setattr__(self, "_mask", mask)
+        return mask
 
     def size_bits(self) -> float:
         return float(SEED_SHARE_BITS)
@@ -169,21 +206,45 @@ def seeded_zero_sum_shares(
     """
     residual_index = _check_split(n, residual_index)
     w = np.asarray(w, dtype=np.float64)
-    seeds: dict[int, SeedShare] = {}
+    seeds = {
+        j: SeedShare(draw_seed(rng), w.shape, FLOAT_CODEC, mask_scale=mask_scale)
+        for j in range(n)
+        if j != residual_index
+    }
     dense = np.empty((n,) + w.shape, dtype=np.float64)
-    acc: np.ndarray | None = None
-    for j in range(n):
-        if j == residual_index:
-            continue
-        seeds[j] = SeedShare(
-            draw_seed(rng), w.shape, FLOAT_CODEC, mask_scale=mask_scale
-        )
-        mask = seeds[j].expand()
-        dense[j] = mask
-        acc = mask if acc is None else acc + mask
-    residual = w.copy() if acc is None else w - acc
-    dense[residual_index] = residual
-    return SeededShares(n, residual_index, residual, seeds, dense=dense)
+    expand_zero_sum_into(dense, w, seeds, residual_index)
+    # Read-only, like the mask memos that view its rows.
+    dense.flags.writeable = False
+    return SeededShares(
+        n, residual_index, dense[residual_index], seeds, dense=dense
+    )
+
+
+def expand_zero_sum_into(
+    dense: np.ndarray,
+    w: np.ndarray,
+    seeds: dict[int, SeedShare],
+    residual_index: int,
+) -> None:
+    """Fill ``dense`` (``(n, *shape)``) with one float zero-sum split.
+
+    Each seed expands straight into its row, so its memo is a view of
+    that row.  The residual row sums the masks in place in ascending
+    share order and then becomes ``w - sum``: the same float operations
+    in the same order as ``w - (((m0 + m1) + m2) + ...)``, bit for bit.
+    """
+    # ``[i, ...]`` keeps a 0-d row a writable view, not a scalar copy.
+    res = dense[residual_index, ...]
+    for count, j in enumerate(sorted(seeds)):
+        mask = seeds[j].expand(out=dense[j, ...])
+        if count == 0:
+            np.copyto(res, mask)
+        else:
+            res += mask
+    if seeds:
+        np.subtract(w, res, out=res)
+    else:
+        np.copyto(res, w)
 
 
 def expand_ring_seeds(

@@ -208,6 +208,14 @@ class EventQueue:
             "compactions": self.compactions,
         }
 
+    def clear(self) -> None:
+        """Drop every pending event together with its callback."""
+        for e in self._heap:
+            e._queue = None
+            e.callback = None
+        self._heap = []
+        self._live = 0
+
     def __len__(self) -> int:
         return self._live
 
@@ -252,6 +260,16 @@ class Simulator:
         stats["pending"] = stats["entries"]  # legacy alias
         stats["events_processed"] = self.events_processed
         return stats
+
+    def close(self) -> None:
+        """Discard the pending events once a run is over.
+
+        Pending callbacks close over the actors that scheduled them, and
+        those actors hold this simulator, so a finished run is otherwise
+        a reference cycle that only the cyclic garbage collector frees.
+        Clock and counters are kept, so ``heap_stats`` stays readable.
+        """
+        self._queue.clear()
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Schedule ``callback`` to run ``delay`` ms from now.

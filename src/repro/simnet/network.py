@@ -314,6 +314,20 @@ class Network:
     def node(self, node_id: int) -> Any:
         return self._nodes[node_id]
 
+    def close(self) -> None:
+        """Release the actors and the simulator's pending events.
+
+        Call once a round is over: actors hold the network and the
+        simulator, which hold the actors back through the node registry
+        and pending callbacks.  Breaking both lets reference counting
+        free the round (share buffers included) on return.  Traffic
+        totals in ``trace`` are kept.
+        """
+        self._nodes.clear()
+        self._node_ids_cache = None
+        self._alive_ids_cache = None
+        self.sim.close()
+
     def node_ids(self) -> list[int]:
         if self._node_ids_cache is None:
             self._node_ids_cache = sorted(self._nodes)

@@ -45,7 +45,9 @@ class SimNode:
         ctx = _causal.current() if obs.enabled and obs.causal else None
 
         def fire() -> None:
-            self._timers.discard(handle_box[0])
+            # Popping the box also breaks the handle -> event -> fire
+            # cycle, so a fired timer is freed by reference counting.
+            self._timers.discard(handle_box.pop())
             if self.crashed:
                 return
             if ctx is not None:

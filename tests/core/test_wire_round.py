@@ -1,5 +1,7 @@
 """End-to-end tests of the on-the-wire two-layer round."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,39 @@ class TestLatencyValidation:
         topo = Topology.by_group_size(9, 3)
         result = run_two_layer_wire_round(topo, make_models(9), k=2, delay_ms=15.0)
         assert result.finish_time_ms == pytest.approx(5 * 15.0)
+
+
+class TestRoundTeardown:
+    #: objects a round builds that hold its share buffers.
+    ROUND_TYPES = {
+        "_TwoLayerPeer", "SacProtocolPeer", "SeedShare",
+        "Simulator", "Network", "EventQueue",
+    }
+
+    @pytest.mark.parametrize("parallel", ["off", "threads"])
+    def test_finished_round_leaves_no_cyclic_garbage(self, parallel):
+        """A returned round is freed by reference counting alone: with
+        the collector off, a collection afterwards finds none of its
+        peers, shares, simulator or network."""
+        topo = Topology.by_group_size(30, 5)
+        models = make_models(30, size=1000)
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = run_two_layer_wire_round(
+                topo, models, k=3, share_codec="seed", seed=1,
+                crash_at={3: 20.0}, parallel=parallel,
+            )
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            found = {type(o).__name__ for o in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert result.outcome.ok
+        assert result.bits_by_kind["sac.recover"] > 0
+        np.testing.assert_allclose(result.average, np.mean(models, axis=0))
+        assert found.isdisjoint(self.ROUND_TYPES), found & self.ROUND_TYPES

@@ -11,11 +11,16 @@ from repro.obs import bench
 pytestmark = pytest.mark.bench_smoke
 
 
+#: the module fixture's suite seed, reused by the same-seed rerun.
+SMOKE_SEED = 3
+
+
 @pytest.fixture(scope="module")
 def smoke_artifact(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench") / "BENCH_suite.json"
     rc = main([
-        "bench", "--smoke", "--repeats", "1", "--warmup", "0",
+        "bench", "--smoke", "--seed", str(SMOKE_SEED),
+        "--repeats", "1", "--warmup", "0",
         "--bench-out", str(out), "--log-level", "warning",
     ])
     assert rc == 0
@@ -71,10 +76,10 @@ def test_wall_stats_present_but_not_fingerprinted(smoke_artifact):
     assert "created_wall_s" not in fingerprint
 
 
-def test_same_seed_runs_are_bit_identical_sim_side():
-    """Two back-to-back smoke runs with one seed: identical sim metrics."""
-    first = bench.run_suite(smoke=True, seed=3, repeats=1, warmup=0)
-    second = bench.run_suite(smoke=True, seed=3, repeats=1, warmup=0)
+def test_same_seed_runs_are_bit_identical_sim_side(smoke_artifact):
+    """A second smoke run at the fixture's seed: identical sim metrics."""
+    first = smoke_artifact
+    second = bench.run_suite(smoke=True, seed=SMOKE_SEED, repeats=1, warmup=0)
     assert bench.sim_fingerprint(first) == bench.sim_fingerprint(second)
     # The fingerprint covers sim/params/phases; spot-check raw equality
     # of the sim blocks too (bit-identical floats, not approx).

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.secure import seedshare
 from repro.secure.fault_tolerant import expected_ft_sac_bits
 from repro.secure.protocol import run_sac_protocol
 
@@ -103,6 +104,30 @@ class TestDropouts:
     def test_crashing_leader_rejected(self):
         with pytest.raises(ValueError):
             run_sac_protocol(make_models(3), k=2, leader=1, crash_at={1: 5.0})
+
+
+class TestSeedCodecExpansion:
+    def test_each_mask_generated_once_per_round(self, monkeypatch):
+        """Seed-codec FT-SAC with an Alg. 4 recovery runs the PRG N(n-1)
+        times, once per mask at its sender: holders, the recovery reply
+        and the leader reuse the sender's memoised expansion."""
+        n, k = 5, 3
+        models = make_models(n, size=64)
+        built = []
+        real = seedshare._expander
+        monkeypatch.setattr(
+            seedshare, "_expander", lambda seed: built.append(seed) or real(seed)
+        )
+        # Peer 0 sends its primary subtotal to leader 2; crashing it after
+        # the shares land (15 ms) forces the replica fetch.
+        kw = dict(k=k, leader=2, crash_at={0: 20.0}, seed=7)
+        seed_run = run_sac_protocol(models, share_codec="seed", **kw)
+        assert seed_run.outcome.ok
+        assert seed_run.recovered_shares == (0,)
+        assert len(built) == len(set(built)) == n * (n - 1)
+        dense_run = run_sac_protocol(models, share_codec="seed-dense", **kw)
+        assert dense_run.recovered_shares == (0,)
+        assert seed_run.average.tobytes() == dense_run.average.tobytes()
 
 
 class TestValidation:

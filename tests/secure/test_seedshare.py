@@ -7,6 +7,8 @@ settings; plus the FT-SAC dropout-recovery regression under the seed
 codec.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.secure.fixed_point import (
 from repro.secure.protocol import run_sac_protocol
 from repro.secure.replicated import seeded_exchange_entry_counts
 from repro.secure.sac import sac_average
+from repro.secure import seedshare
 from repro.secure.seedshare import (
     FLOAT_CODEC,
     RING_CODEC,
@@ -84,7 +87,88 @@ class TestSeedShare:
             seeded_zero_sum_shares(np.ones(3), 3, RNG(), residual_index=3)
 
 
+def _reference_mask(seed, shape, codec, mask_scale):
+    """The mask as numpy's Philox generator draws it directly."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if codec == FLOAT_CODEC:
+        return rng.normal(0.0, mask_scale, size=shape)
+    return rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("codec", [FLOAT_CODEC, RING_CODEC])
+@pytest.mark.parametrize("mask_scale", [1.0, 0.37])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+class TestExpansionMemo:
+    """A sender's expansion is memoised on the share; holders reuse it."""
+
+    @staticmethod
+    def sent(shape, codec, mask_scale):
+        """A share its sender expanded straight into a share-matrix row."""
+        share = SeedShare(draw_seed(RNG(11)), shape, codec, mask_scale)
+        dtype = np.float64 if codec == FLOAT_CODEC else np.uint64
+        row = np.empty((2,) + shape, dtype)[1, ...]
+        share.expand(out=row)
+        return share, row
+
+    def test_holder_reuse_is_bitwise_a_fresh_expansion(
+        self, shape, codec, mask_scale
+    ):
+        share, row = self.sent(shape, codec, mask_scale)
+        held = share.expand()
+        fresh = SeedShare(share.seed, shape, codec, mask_scale).expand()
+        assert held.shape == shape
+        assert np.shares_memory(held, row)
+        assert held.tobytes() == fresh.tobytes() == row.tobytes()
+        reference = _reference_mask(share.seed, shape, codec, mask_scale)
+        assert held.tobytes() == reference.tobytes()
+
+    def test_memo_is_read_only(self, shape, codec, mask_scale):
+        share, _ = self.sent(shape, codec, mask_scale)
+        fresh = SeedShare(share.seed, shape, codec, mask_scale)
+        for mask in (share.expand(), fresh.expand()):
+            with pytest.raises(ValueError):
+                mask[...] = 0
+
+    def test_eq_hash_repr_ignore_memo(self, shape, codec, mask_scale):
+        share, _ = self.sent(shape, codec, mask_scale)
+        bare = SeedShare(share.seed, shape, codec, mask_scale)
+        assert share == bare
+        assert hash(share) == hash(bare)
+        assert repr(share) == repr(bare)
+
+    def test_pickle_carries_only_the_seed(self, shape, codec, mask_scale):
+        share, _ = self.sent(shape, codec, mask_scale)
+        bare = SeedShare(share.seed, shape, codec, mask_scale)
+        assert pickle.dumps(share) == pickle.dumps(bare)
+        back = pickle.loads(pickle.dumps(share))
+        assert back._mask is None
+        assert back.expand().tobytes() == share.expand().tobytes()
+
+
 class TestSeededSplits:
+    def test_split_expands_each_mask_once(self, monkeypatch):
+        """The split memoises every mask as a view of its dense row, so
+        a later ``expand`` never runs the generator again."""
+        ss = seeded_zero_sum_shares(RNG(12).normal(size=9), 4, RNG(13))
+        built = []
+        real = seedshare._expander
+        monkeypatch.setattr(
+            seedshare, "_expander", lambda seed: built.append(seed) or real(seed)
+        )
+        for j, share in ss.seeds.items():
+            assert np.shares_memory(share.expand(), ss.dense[j])
+        assert built == []
+
+    def test_scalar_secret(self):
+        ss = seeded_zero_sum_shares(np.float64(2.5), 3, RNG(15))
+        assert ss.materialize().sum() == pytest.approx(2.5)
+        for j, share in ss.seeds.items():
+            assert np.shares_memory(share.expand(), ss.dense[j, ...])
+
+    def test_expand_out_shape_checked(self):
+        with pytest.raises(ValueError):
+            SeedShare(draw_seed(RNG(14)), (3,)).expand(out=np.empty(4))
+
     @given(
         n=st.integers(1, 8),
         seed=st.integers(0, 2**31 - 1),
