@@ -6,9 +6,12 @@ Adam optimizer, and categorical cross-entropy — plus flat-parameter
 serialization, which is what the secure-aggregation protocols operate on.
 
 Design notes (per the HPC guides): everything is vectorized over the
-batch; convolution uses im2col so the hot loop is a single GEMM;
-parameters live in contiguous float64 arrays and serialize to one flat
-vector with no copies beyond the final concatenate.
+batch; convolution builds its im2col matrix from a strided window view
+(one contiguous copy, no index gather), multiplies it in a batched GEMM,
+and folds the column gradient back with one strided slice-add per kernel
+offset (col2im without a scatter); parameters live in contiguous float64
+arrays and serialize to one flat vector with no copies beyond the final
+concatenate.
 """
 
 from .extras import (

@@ -90,10 +90,6 @@ class Dense(Layer):
         return grad @ self.W.value.T
 
 
-def _out_dim(size: int, k: int, pad: int, stride: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
-
-
 class Conv2D(Layer):
     """2-D convolution (cross-correlation) via im2col + GEMM.
 
@@ -125,9 +121,6 @@ class Conv2D(Layer):
         )
         self.b = Param(zeros((out_channels,)), "b")
         self._cache: tuple | None = None
-        # im2col gather indices depend only on the input's (H, W); training
-        # re-feeds the same shape every step, so memoise per shape.
-        self._idx_cache: dict[tuple[int, int], tuple] = {}
 
     def params(self) -> list[Param]:
         return [self.W, self.b]
@@ -139,54 +132,37 @@ class Conv2D(Layer):
             raise ValueError("'same' padding requires an odd kernel size")
         return (self.kernel_size - 1) // 2
 
-    def _col_indices(
-        self, h: int, w: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        cached = self._idx_cache.get((h, w))
-        if cached is not None:
-            return cached
-        k, s = self.kernel_size, self.stride
-        pad = self._pad_amount()
-        out_h = _out_dim(h, k, pad, s)
-        out_w = _out_dim(w, k, pad, s)
-        c = self.in_channels
-        i0 = np.repeat(np.arange(k), k)
-        i0 = np.tile(i0, c)
-        i1 = s * np.repeat(np.arange(out_h), out_w)
-        j0 = np.tile(np.arange(k), k * c)
-        j1 = s * np.tile(np.arange(out_w), out_h)
-        ii = i0.reshape(-1, 1) + i1.reshape(1, -1)
-        jj = j0.reshape(-1, 1) + j1.reshape(1, -1)
-        kk = np.repeat(np.arange(c), k * k).reshape(-1, 1)
-        result = (kk, ii, jj, out_h, out_w)
-        self._idx_cache[(h, w)] = result
-        return result
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv2D expects (batch, {self.in_channels}, H, W), got {x.shape}"
             )
-        n, _, h, w = x.shape
+        n, c = x.shape[:2]
+        k, s = self.kernel_size, self.stride
         pad = self._pad_amount()
         if pad:
             x_pad = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         else:
             x_pad = x
-        kk, ii, jj, out_h, out_w = self._col_indices(h, w)
-        # cols: (n, C*k*k, out_h*out_w)
-        cols = x_pad[:, kk, ii, jj]
+        # im2col: every (k, k) window as a strided view, subsampled by the
+        # stride, then one C-contiguous copy laid out as (n, C*k*k, L).
+        view = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(2, 3))
+        view = view[:, :, ::s, ::s]
+        out_h, out_w = view.shape[2], view.shape[3]
+        cols = view.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, -1)
         w_row = self.W.value.reshape(self.out_channels, -1)
         out = w_row @ cols  # (n, F, out_h*out_w) via batched GEMM
         out += self.b.value[:, None]
-        self._cache = (x.shape, x_pad.shape, cols, kk, ii, jj)
+        self._cache = (x_pad.shape, cols, out_h, out_w)
         return out.reshape(n, self.out_channels, out_h, out_w)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._cache is not None, "backward before forward"
-        x_shape, x_pad_shape, cols, kk, ii, jj = self._cache
+        x_pad_shape, cols, out_h, out_w = self._cache
+        self._cache = None
         n = grad.shape[0]
-        f = self.out_channels
+        f, c = self.out_channels, self.in_channels
+        k, s = self.kernel_size, self.stride
         grad2 = grad.reshape(n, f, -1)  # (n, F, L)
         # dW: sum over batch of grad2 @ cols^T, contracted over (n, L) in
         # one GEMM (tensordot) instead of an unoptimized einsum loop.
@@ -195,10 +171,16 @@ class Conv2D(Layer):
         np.sum(grad2, axis=(0, 2), out=self.b.grad)
         # dcols = W^T @ grad2 : (n, C*k*k, L) via batched GEMM
         w_row = self.W.value.reshape(f, -1)
-        dcols = np.matmul(w_row.T, grad2)
-        # col2im: scatter-add back into the padded input.
+        dcols = np.matmul(w_row.T, grad2).reshape(n, c, k, k, out_h, out_w)
+        # col2im: one strided slice-add per kernel offset, in row-major
+        # (di, dj) order -- the per-element summation order of a scatter-add
+        # over the im2col indices, so the result is bitwise the same.
         dx_pad = np.zeros(x_pad_shape)
-        np.add.at(dx_pad, (slice(None), kk, ii, jj), dcols)
+        for di in range(k):
+            for dj in range(k):
+                dx_pad[
+                    :, :, di : di + s * out_h : s, dj : dj + s * out_w : s
+                ] += dcols[:, :, di, dj]
         pad = self._pad_amount()
         if pad:
             return dx_pad[:, :, pad:-pad, pad:-pad]

@@ -12,6 +12,7 @@ from repro.nn.layers import (
     ReLU,
     Softmax,
 )
+from repro.nn.zoo import small_cnn
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -147,9 +148,9 @@ class TestConv2D:
         layer = Conv2D(2, 5, 3, RNG(12), padding="valid")
         x = RNG(13).normal(size=(3, 2, 9, 9))
         out = layer.forward(x)
+        _, cols, _, _ = layer._cache  # backward frees the cache
         grad = RNG(14).normal(size=out.shape)
         layer.backward(grad)
-        _, _, cols, _, _, _ = layer._cache
         n, f = grad.shape[0], layer.out_channels
         g2 = grad.reshape(n, f, -1)
         c, ln = cols.shape[1], n * cols.shape[2]
@@ -171,15 +172,24 @@ class TestConv2D:
         layer = Conv2D(3, 4, 3, RNG(15), padding="same")
         x = RNG(16).normal(size=(2, 3, 7, 7))
         out = layer.forward(x)
+        _, cols, _, _ = layer._cache  # backward frees the cache
         grad = RNG(17).normal(size=out.shape)
         layer.backward(grad)
-        _, _, cols, _, _, _ = layer._cache
         n, f = grad.shape[0], layer.out_channels
         g2 = grad.reshape(n, f, -1)
         ref_dw = np.einsum("nfl,ncl->fc", g2, cols)
         np.testing.assert_allclose(
             layer.W.grad.reshape(f, -1), ref_dw, rtol=1e-10, atol=1e-12
         )
+
+    def test_backward_frees_im2col_buffer(self):
+        model = small_cnn(RNG(18))
+        x = RNG(19).normal(size=(4, 1, 8, 8))
+        model.train_batch(x, RNG(20).integers(0, 10, size=4))
+        convs = [l for l in model.layers if isinstance(l, Conv2D)]
+        assert convs and all(l._cache is None for l in convs)
+        with pytest.raises(AssertionError, match="backward before forward"):
+            convs[0].backward(np.zeros((4, 4, 8, 8)))
 
     def test_channel_validation(self):
         layer = Conv2D(3, 2, 3, RNG())
