@@ -52,7 +52,7 @@ def test_round_latency_vs_group_size_on_bandwidth(benchmark):
             res = run_sac_protocol(
                 models, k=k, bandwidth_bps=100e6, delay_ms=15.0
             )
-            assert res.completed
+            assert res.outcome.ok
             out.append((n, k, res.finish_time_ms))
         return out
 

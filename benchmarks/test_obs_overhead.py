@@ -31,7 +31,7 @@ def _round_once() -> None:
     rng = np.random.default_rng(1)
     models = [rng.normal(size=256) for _ in range(topo.n_peers)]
     result = run_two_layer_wire_round(topo, models, k=2, seed=1)
-    assert result.completed
+    assert result.outcome.ok
 
 
 def _best_of(fn, reps: int) -> float:

@@ -49,7 +49,7 @@ def test_dropout_recovery_overhead_is_control_only(benchmark):
         return clean, dirty
 
     clean, dirty = benchmark(run)
-    assert dirty.completed
+    assert dirty.outcome.ok
     subtotal_bits = size * 32
     overhead = dirty.bits_sent - clean.bits_sent
     emit(

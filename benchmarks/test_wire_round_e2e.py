@@ -26,7 +26,7 @@ def test_full_round_on_the_wire(benchmark):
         )
 
     result = benchmark(run)
-    assert result.completed
+    assert result.outcome.ok
     np.testing.assert_allclose(result.average, np.mean(models, axis=0), rtol=1e-9)
 
     expected_bits = two_layer_ft_cost_from_topology(topo, 3, size)

@@ -1,4 +1,4 @@
-"""Command-line experiment runner: ``python -m repro <figure> [options]``.
+"""Command-line experiment runner: ``python -m repro <command> [options]``.
 
 Regenerates any table/figure of the paper from the terminal and
 optionally dumps the raw series to CSV::
@@ -18,11 +18,15 @@ optionally dumps the raw series to CSV::
     python -m repro xlayer --peers 100000 --loss 0.2 --transport reliable
     python -m repro serve-metrics --metrics-port 9100
 
+Each command accepts only the flags it reads;
+``python -m repro <command> --help`` lists them with their defaults.
+
 ``trace`` runs the failover + wire-round observability scenario and
 writes a JSONL event log, a Prometheus metrics dump, and a Chrome
 ``trace_event`` timeline (see ``docs/observability.md``).  The artifact
-flags also work with any other figure: ``--events-out``/``--metrics-out``
-capture the run's events and metrics as a side effect.
+flags also work with every figure command (env, fig6..fig14, multilayer,
+all, report, plan): ``--events-out``/``--metrics-out`` capture the run's
+events and metrics as a side effect.
 
 ``bench`` runs the canonical profiled benchmark suite
 (``repro.obs.bench``) and writes a schema-validated ``BENCH_suite.json``;
@@ -56,8 +60,8 @@ reshard floor, or the Raft drill.
 ``serve-metrics`` runs a live chaos campaign with the full
 observability stack attached — causal tracing, per-link telemetry, a
 flight recorder — and serves ``/metrics`` (Prometheus) and ``/status``
-(JSON) over HTTP while it runs.  ``--metrics-port`` also works on any
-other figure command to expose that run's metrics live.
+(JSON) over HTTP while it runs.  ``--metrics-port`` also works on every
+figure command to expose that run's metrics live.
 """
 
 from __future__ import annotations
@@ -71,172 +75,307 @@ from .obs import get_logger, set_level
 log = get_logger("repro")
 
 
+#: what ``all`` runs, in print order
+ALL_FIGURES = (
+    "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+    "fig14", "multilayer", "env",
+)
+
+
+def _parent(*flags: tuple[str, dict]) -> argparse.ArgumentParser:
+    """A parent parser holding ``(flag, add_argument kwargs)`` pairs.
+
+    Built fresh for each command: argparse hands a parent's action
+    objects to every child, so a shared one could not carry
+    per-command defaults.
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    for flag, kw in flags:
+        p.add_argument(flag, **kw)
+    return p
+
+
+def _artifact_flags(into: str | None = None) -> argparse.ArgumentParser:
+    def path(name: str, help: str) -> dict:
+        return dict(metavar="PATH", help=help,
+                    default=None if into is None else os.path.join(into, name))
+
+    return _parent(
+        ("--events-out", path("events.jsonl",
+                              "write the structured event log as JSONL")),
+        ("--metrics-out", path("metrics.prom",
+                               "write a Prometheus text metrics dump")),
+        ("--trace-out", path("trace.json", "write a Chrome trace_event JSON "
+                             "timeline (open in https://ui.perfetto.dev)")),
+    )
+
+
+def _serving_flags(port: int | None) -> argparse.ArgumentParser:
+    return _parent(
+        ("--metrics-port", dict(type=int, default=port, help="serve /metrics "
+                                "and /status on this port while the command "
+                                "runs (0 = ephemeral; None = not served)")),
+        ("--serve-host", dict(default="127.0.0.1",
+                              help="bind address for --metrics-port")),
+    )
+
+
+def _fl_flags() -> argparse.ArgumentParser:
+    return _parent(
+        ("--rounds", dict(type=int, help="FL communication rounds (None = "
+                          "$REPRO_ROUNDS, else the figure's setting)")),
+        ("--peers", dict(type=int, help="total peers (None = $REPRO_PEERS, "
+                         "else the figure's setting)")),
+        ("--dataset", dict(choices=["blobs", "cifar"], default="blobs",
+                           help="FL workload")),
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's tables and figures.",
+        epilog="Run 'python -m repro <command> --help' for the flags a "
+        "command accepts.",
     )
-    parser.add_argument(
-        "figure",
-        choices=[
-            "env", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "fig12", "fig13", "fig14", "multilayer", "xlayer", "all",
-            "report", "plan", "trace", "bench", "prof", "chaos",
-            "campaign", "serve-metrics",
-        ],
-        help="which table/figure to regenerate ('report' writes everything "
-        "to a markdown file; 'plan' runs the deployment planner; 'trace' "
-        "runs the observability scenario and writes event/metric/timeline "
-        "artifacts; 'bench' runs the profiled benchmark suite or, with "
-        "--compare, gates two BENCH artifacts against each other; 'chaos' "
-        "runs seeded fault-injection campaigns and exits non-zero on any "
-        "safety violation; 'campaign' runs multi-round churn campaigns "
-        "with re-sharding and cross-round invariants; 'serve-metrics' "
-        "runs a live chaos campaign "
-        "serving /metrics and /status over HTTP; 'xlayer' runs one "
-        "X-layer round over the simulated wire at --peers scale and "
-        "checks it against the Eq. 10 closed forms)",
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="<command>")
+    log_level = ("--log-level", dict(
+        default="info", choices=["debug", "info", "warning", "error"],
+        help="status-line verbosity",
+    ))
+    trials = ("--trials", dict(type=int, help="Raft trials per timeout "
+                               "(None = $REPRO_TRIALS, else 25)"))
+    csv = ("--csv", dict(metavar="DIR",
+                         help="also write raw series as CSV into DIR"))
+    seed = ("--seed", dict(type=int, default=0, help="scenario RNG seed"))
+    plans = (
+        ("--plans", dict(type=int, default=25,
+                         help="seeded fault plans per layer")),
+        ("--seed0", dict(type=int, default=0, help="first plan seed")),
+        ("--profiles", dict(metavar="NAMES", help="comma-separated fault "
+                            "profiles to cycle through (None = all)")),
     )
-    parser.add_argument("--out", default="report.md",
-                        help="output path for 'report'")
-    parser.add_argument("--plan-peers", type=int, default=30,
-                        help="'plan': total peer count")
-    parser.add_argument("--plan-dropouts", type=int, default=1,
-                        help="'plan': mid-SAC dropouts to tolerate per subgroup")
-    parser.add_argument("--plan-bandwidth", type=float, default=None,
-                        help="'plan': uplink bits/s (enables latency ranking)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="FL communication rounds (figs 6-9)")
-    parser.add_argument("--peers", type=int, default=None,
-                        help="total peers (figs 6-9)")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="Raft trials per timeout (figs 10-12)")
-    parser.add_argument("--dataset", choices=["blobs", "cifar"],
-                        default="blobs", help="FL workload (figs 6-9)")
-    parser.add_argument("--csv", metavar="DIR", default=None,
-                        help="also write raw series as CSV into DIR")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="'trace'/'bench': scenario RNG seed")
-    parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="write a Chrome trace_event JSON timeline "
-                        "(open in https://ui.perfetto.dev)")
-    parser.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write a Prometheus text metrics dump")
-    parser.add_argument("--events-out", metavar="PATH", default=None,
-                        help="write the structured event log as JSONL")
-    parser.add_argument("--log-level", default="info",
-                        choices=["debug", "info", "warning", "error"],
-                        help="status-line verbosity (default: info)")
-    parser.add_argument("--bench-out", metavar="PATH",
-                        default="BENCH_suite.json",
-                        help="'bench': artifact output path")
-    parser.add_argument("--smoke", action="store_true",
-                        help="'bench': tiny scenario sizes (CI smoke mode)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="'bench': measured wall-clock repeats per "
-                        "scenario (default: 3)")
-    parser.add_argument("--warmup", type=int, default=1,
-                        help="'bench': unmeasured warmup runs per scenario "
-                        "(default: 1)")
-    parser.add_argument("--only", metavar="IDS", default=None,
-                        help="'bench': comma-separated scenario ids to run")
-    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                        default=None,
-                        help="'bench': diff two BENCH artifacts and exit "
-                        "non-zero on regression instead of running the suite")
-    parser.add_argument("--wall-tolerance", type=float, default=1.5,
-                        help="'bench --compare': allowed wall-time median "
-                        "ratio NEW/OLD (default: 1.5)")
-    parser.add_argument("--mem-tolerance", type=float, default=2.0,
-                        help="'bench --compare': allowed peak-allocation "
-                        "ratio NEW/OLD (default: 2.0)")
-    parser.add_argument("--resources", action="store_true",
-                        help="'prof': wrap each phase in the live resource "
-                        "profiler and print the memory/simnet snapshot")
-    parser.add_argument("--top", type=int, default=12,
-                        help="'bench': rows in the printed top-phases table")
-    parser.add_argument("--parallel", default=None,
-                        choices=["off", "threads", "process"],
-                        help="'bench': execution mode for the "
-                        "two_layer_parallel scenario (default: threads); "
-                        "sim metrics are mode-independent")
-    parser.add_argument("--plans", type=int, default=25,
-                        help="'chaos': seeded fault plans per layer "
-                        "(default: 25)")
-    parser.add_argument("--profiles", metavar="NAMES", default=None,
-                        help="'chaos': comma-separated fault profiles to "
-                        "cycle through (default: all)")
-    parser.add_argument("--layers", metavar="NAMES", default=None,
-                        help="'chaos': comma-separated layers to stress "
-                        "(default: sac,two_layer,raft)")
-    parser.add_argument("--transport", default=None,
-                        choices=["fire_and_forget", "reliable"],
-                        help="'chaos'/'xlayer': wire transport (default: "
-                        "reliable for chaos; for xlayer, reliable iff "
-                        "--loss > 0)")
-    parser.add_argument("--loss", type=float, default=None,
-                        help="'chaos --scale'/'xlayer': random frame-loss "
-                        "probability (default: 0.2 for chaos --scale, "
-                        "0 for xlayer)")
-    parser.add_argument("--scale", type=int, default=None, metavar="PEERS",
-                        help="'chaos': run one chaos-at-scale X-layer trial "
-                        "at this peer count instead of the plan matrix")
-    parser.add_argument("--max-attempts", type=int, default=None,
-                        help="'chaos --scale'/'xlayer': reliable-transport "
-                        "retransmit budget (default: 8)")
-    parser.add_argument("--seed0", type=int, default=0,
-                        help="'chaos'/'campaign'/'serve-metrics': first "
-                        "plan seed (default: 0)")
-    parser.add_argument("--static", action="store_true",
-                        help="'campaign': disable re-sharding (leavers "
-                        "shrink their group; joiners fill the smallest)")
-    parser.add_argument("--no-raft", action="store_true",
-                        help="'campaign': skip the per-plan two-layer Raft "
-                        "membership-change drill")
-    parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                        help="'campaign': keep between-round checkpoints "
-                        "here (default: a temporary directory)")
-    parser.add_argument("--metrics-port", type=int, default=None,
-                        help="serve /metrics and /status on this port while "
-                        "the command runs (0 = ephemeral; default for "
-                        "'serve-metrics': 0)")
-    parser.add_argument("--serve-host", default="127.0.0.1",
-                        help="'serve-metrics'/--metrics-port: bind address "
-                        "(default: 127.0.0.1)")
-    parser.add_argument("--serve-rounds", type=int, default=12,
-                        help="'serve-metrics': chaos rounds to run while "
-                        "serving (default: 12)")
-    parser.add_argument("--serve-interval", type=float, default=0.2,
-                        help="'serve-metrics': pause between rounds in "
-                        "seconds, the scrape window (default: 0.2)")
-    parser.add_argument("--incident-dir", default="incident_out",
-                        help="'serve-metrics': flight-recorder incident "
-                        "dump directory (default: incident_out)")
-    parser.add_argument("--depth", type=int, default=6,
-                        help="'xlayer': tree depth X (default: 6)")
-    parser.add_argument("--engine", default="wave",
-                        choices=["wave", "scalar"],
-                        help="'xlayer': delivery engine (default: wave)")
-    parser.add_argument("--delay-ms", type=float, default=15.0,
-                        help="'xlayer': fixed per-hop latency in "
-                        "virtual ms (default: 15)")
-    parser.add_argument("--dim", type=int, default=64,
-                        help="'xlayer': model parameters per peer "
-                        "(default: 64)")
+    xlayer = (
+        ("--depth", dict(type=int, default=6, help="X-layer tree depth X")),
+        ("--engine", dict(default="wave", choices=["wave", "scalar"],
+                          help="delivery engine")),
+        ("--max-attempts", dict(type=int, help="reliable-transport "
+                                "retransmit budget (None = 8)")),
+    )
+
+    def parallel(default: str) -> tuple[str, dict]:
+        return ("--parallel", dict(
+            default=default, choices=["off", "threads"],
+            help="run independent subgroups inline or on a thread pool; "
+            "sim results are mode-independent",
+        ))
+
+    def transport(default: str | None, help: str) -> tuple[str, dict]:
+        return ("--transport", dict(
+            default=default, choices=["fire_and_forget", "reliable"],
+            help=help,
+        ))
+
+    def command(name, func, help, *flags, parents=()):
+        p = sub.add_parser(
+            name, help=help, description=help,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+            parents=[_parent(log_level), *parents],
+        )
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func)
+        return p
+
+    def figure(name, func, help, *flags, fl=False):
+        # Figure commands can capture their run and serve it live.
+        return command(name, _captured(func), help, *flags, parents=(
+            *([_fl_flags()] if fl else []),
+            _artifact_flags(), _serving_flags(None),
+        ))
+
+    figure("env", _run_figures, "Table I: the simulated environment")
+    for name, help in (
+        ("fig6", "Fig. 6: final test accuracy, two-layer vs one-layer SAC"),
+        ("fig7", "Fig. 7: training loss, two-layer vs one-layer SAC"),
+        ("fig8", "Fig. 8: accuracy vs fraction p of subgroups in FedAvg"),
+        ("fig9", "Fig. 9: loss vs fraction p of subgroups in FedAvg"),
+    ):
+        figure(name, _run_figures, help, csv, fl=True)
+    for name, help in (
+        ("fig10", "Fig. 10: subgroup leader re-election time"),
+        ("fig11", "Fig. 11: re-election plus FedAvg join time"),
+        ("fig12", "Fig. 12: full recovery from a FedAvg leader crash"),
+    ):
+        figure(name, _run_figures, help, trials, csv)
+    for name, help in (
+        ("fig13", "Fig. 13: cost per aggregation vs subgroup count m"),
+        ("fig14", "Fig. 14: cost per aggregation vs N, k-out-of-n settings"),
+        ("multilayer", "X-layer communication cost table"),
+    ):
+        figure(name, _run_figures, help, csv)
+    figure("all", _run_figures, "every figure and table above, in turn",
+           trials, csv, fl=True)
+    figure("report", _run_report, "write every figure and table to one "
+           "markdown file", trials,
+           ("--out", dict(default="report.md", help="output path")), fl=True)
+    figure("plan", _run_plan, "enumerate feasible (n, k, m) deployment plans",
+           ("--plan-peers", dict(type=int, default=30,
+                                 help="total peer count")),
+           ("--plan-dropouts", dict(type=int, default=1, help="mid-SAC "
+                                    "dropouts to tolerate per subgroup")),
+           ("--plan-bandwidth", dict(type=float, help="uplink bits/s "
+                                     "(enables latency ranking)")))
+
+    command("trace", _run_trace, "run the observability scenario and write "
+            "event, metric and timeline artifacts", seed,
+            parents=[_artifact_flags(into="trace_out")])
+    command("bench", _run_bench, "run the profiled benchmark suite or, with "
+            "--compare, gate two BENCH artifacts against each other",
+            seed, parallel("threads"),
+            ("--bench-out", dict(metavar="PATH", default="BENCH_suite.json",
+                                 help="artifact output path")),
+            ("--smoke", dict(action="store_true",
+                             help="tiny scenario sizes (CI smoke mode)")),
+            ("--repeats", dict(type=int, default=3, help="measured "
+                               "wall-clock repeats per scenario")),
+            ("--warmup", dict(type=int, default=1,
+                              help="unmeasured warmup runs per scenario")),
+            ("--only", dict(metavar="IDS",
+                            help="comma-separated scenario ids to run")),
+            ("--compare", dict(nargs=2, metavar=("OLD", "NEW"), help="diff "
+                               "two BENCH artifacts and exit non-zero on "
+                               "regression instead of running the suite")),
+            ("--wall-tolerance", dict(type=float, default=1.5, help="with "
+                                      "--compare: allowed wall-time median "
+                                      "ratio NEW/OLD")),
+            ("--mem-tolerance", dict(type=float, default=2.0, help="with "
+                                     "--compare: allowed peak-allocation "
+                                     "ratio NEW/OLD")),
+            ("--top", dict(type=int, default=12,
+                           help="rows in each printed top-phases table")))
+    command("prof", _run_prof, "profile the failover + wire-round workload "
+            "and print the span call tree", seed,
+            ("--peers", dict(type=int, default=12, help="total peers")),
+            ("--resources", dict(action="store_true", help="wrap each phase "
+                                 "in the live resource profiler and print "
+                                 "the memory/simnet snapshot")),
+            ("--top", dict(type=int, default=12,
+                           help="rows in the printed phase table")))
+    command("xlayer", _run_xlayer, "run one X-layer round over the simulated "
+            "wire and check it against the Eq. 10 closed forms",
+            seed, parallel("off"), *xlayer,
+            transport(None, "wire transport (None = reliable iff "
+                      "--loss > 0)"),
+            ("--peers", dict(type=int, default=1_000, help="requested peer "
+                             "count; the tree is the smallest reaching it")),
+            ("--dim", dict(type=int, default=64,
+                           help="model parameters per peer")),
+            ("--delay-ms", dict(type=float, default=15.0,
+                                help="fixed per-hop latency in virtual ms")),
+            ("--loss", dict(type=float, default=0.0,
+                            help="random frame-loss probability")))
+    command("chaos", _run_chaos, "run seeded fault-injection campaigns and "
+            "exit non-zero on any safety violation", *plans,
+            transport("reliable", "wire transport of the plan matrix"),
+            ("--layers", dict(metavar="NAMES", help="comma-separated layers "
+                              "to stress (None = sac,two_layer,raft)")),
+            ("--scale", dict(type=int, metavar="PEERS", help="run one "
+                             "chaos-at-scale X-layer trial at this peer "
+                             "count instead of the plan matrix")),
+            ("--loss", dict(type=float, default=0.2, help="with --scale: "
+                            "random frame-loss probability")),
+            seed, parallel("off"), *xlayer)
+    command("campaign", _run_campaign, "run multi-round churn campaigns with "
+            "re-sharding and cross-round invariants", *plans,
+            transport("reliable", "wire transport"), parallel("off"),
+            ("--rounds", dict(type=int, default=10,
+                              help="FL rounds per campaign")),
+            ("--peers", dict(type=int, default=12, help="initial peer count")),
+            ("--static", dict(action="store_true", help="disable re-sharding "
+                              "(leavers shrink their group; joiners fill the "
+                              "smallest)")),
+            ("--no-raft", dict(action="store_true", help="skip the per-plan "
+                               "two-layer Raft membership-change drill")),
+            ("--checkpoint-dir", dict(metavar="DIR", help="keep "
+                                      "between-round checkpoints here "
+                                      "(None = a temporary directory)")))
+    command("serve-metrics", _run_serve, "run a live chaos campaign serving "
+            "/metrics and /status over HTTP",
+            ("--serve-rounds", dict(type=int, default=12,
+                                    help="chaos rounds to run while serving")),
+            ("--serve-interval", dict(type=float, default=0.2, help="pause "
+                                      "between rounds in seconds, the scrape "
+                                      "window")),
+            ("--incident-dir", dict(default="incident_out", help="flight-"
+                                    "recorder incident dump directory")),
+            ("--seed0", dict(type=int, default=0, help="first round seed")),
+            parents=[_serving_flags(0)])
     return parser
 
 
-def _trace_paths(args: argparse.Namespace) -> tuple[str, str, str]:
-    """Resolve artifact paths for 'trace', defaulting into trace_out/."""
-    base = "trace_out"
-    events = args.events_out or os.path.join(base, "events.jsonl")
-    metrics = args.metrics_out or os.path.join(base, "metrics.prom")
-    chrome = args.trace_out or os.path.join(base, "trace.json")
-    for path in (events, metrics, chrome):
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-    return events, metrics, chrome
+def _start_metrics_server(obs, host: str, port: int, **extra):
+    """Serve ``obs`` over HTTP; ``None`` (and one error line) if the port
+    is already bound."""
+    from .obs.scale import resource_snapshot
+    from .obs.serve import MetricsPortInUseError, MetricsServer
+
+    try:
+        server = MetricsServer(
+            metrics=obs.metrics, host=host, port=port,
+            resources=lambda: resource_snapshot(obs=obs), **extra,
+        ).start()
+    except MetricsPortInUseError as exc:
+        log.error("%s", exc)
+        return None
+    # An ephemeral request (port 0) resolves at bind time; print the
+    # chosen port on stdout so wrappers can scrape it.
+    print(f"metrics port: {server.port}", flush=True)
+    return server
+
+
+def _captured(run):
+    """Give a figure command the artifact and ``--metrics-port`` flags.
+
+    When any is set, the command runs under a fresh observability
+    pipeline (served live while it runs) whose events, metrics and
+    timeline are written out afterwards.
+    """
+
+    def captured(args: argparse.Namespace) -> int:
+        if not (args.events_out or args.metrics_out or args.trace_out
+                or args.metrics_port is not None):
+            return run(args)
+        from .obs import runtime as _runtime
+
+        obs = _runtime.Observability()
+        started = False
+        try:
+            with _runtime.observe(obs):
+                server = None
+                if args.metrics_port is not None:
+                    server = _start_metrics_server(
+                        obs, args.serve_host, args.metrics_port
+                    )
+                    if server is None:
+                        return 2
+                    log.info("metrics live at %s/metrics", server.url)
+                started = True
+                try:
+                    return run(args)
+                finally:
+                    if server is not None:
+                        server.stop()
+        finally:
+            if started and args.events_out:
+                log.info("events  -> %s", obs.write_events_jsonl(args.events_out))
+            if started and args.metrics_out:
+                log.info("metrics -> %s", obs.write_prometheus(args.metrics_out))
+            if started and args.trace_out:
+                log.info("timeline-> %s", obs.write_chrome_trace(args.trace_out))
+
+    return captured
 
 
 def _run_bench(args: argparse.Namespace) -> int:
@@ -289,7 +428,7 @@ def _run_prof(args: argparse.Namespace) -> int:
     from .obs.scale import format_resource_report, resource_snapshot
     from .twolayer_raft.system import TwoLayerRaftSystem
 
-    n_peers = args.peers or 12
+    n_peers = args.peers
     group_size = 4
     seed = args.seed
     rp = ResourceProfiler() if args.resources else None
@@ -323,7 +462,7 @@ def _run_prof(args: argparse.Namespace) -> int:
         report = profile_events(obs.events)
         print(report.format_table(limit=args.top))
         print()
-        print(f"wire round: {'completed' if result.completed else 'FAILED'} "
+        print(f"wire round: {'completed' if result.outcome.ok else 'FAILED'} "
               f"in {result.finish_time_ms:.1f} sim-ms, "
               f"{result.messages_sent} messages, "
               f"{result.bits_sent / 1e6:.2f} Mb")
@@ -356,7 +495,7 @@ def _run_xlayer(args: argparse.Namespace) -> int:
     from .simnet import FixedLatency
 
     depth = args.depth
-    target = args.peers or 1_000
+    target = args.peers
     # Smallest subgroup size whose depth-X tree reaches the requested
     # peer count (Eq. 6 grows as n (n-1)^{depth-1}).
     n = 2
@@ -367,7 +506,7 @@ def _run_xlayer(args: argparse.Namespace) -> int:
     d = args.dim
     models = np.random.default_rng([args.seed, 7]).normal(size=(n_peers, d))
 
-    loss = args.loss or 0.0
+    loss = args.loss
     transport = args.transport or (
         "reliable" if loss > 0 else "fire_and_forget"
     )
@@ -383,7 +522,7 @@ def _run_xlayer(args: argparse.Namespace) -> int:
     result = run_xlayer_wire_round(
         topology, models, seed=args.seed,
         latency=FixedLatency(args.delay_ms), engine=args.engine,
-        parallel=args.parallel or "off",
+        parallel=args.parallel,
         loss_rate=loss, transport=transport, transport_opts=opts,
     )
     wall = time.perf_counter() - t0
@@ -446,13 +585,12 @@ def _run_xlayer(args: argparse.Namespace) -> int:
 
 def _run_chaos_scale(args: argparse.Namespace) -> int:
     """One chaos-at-scale trial: lossy reliable X-layer round at N peers."""
-    from .chaos.scale import DEFAULT_LOSS_RATE, run_scale_trial
+    from .chaos.scale import run_scale_trial
 
-    loss = DEFAULT_LOSS_RATE if args.loss is None else args.loss
     report = run_scale_trial(
         args.scale, depth=args.depth,
-        loss_rate=loss, seed=args.seed, engine=args.engine,
-        parallel=args.parallel or "off", max_attempts=args.max_attempts,
+        loss_rate=args.loss, seed=args.seed, engine=args.engine,
+        parallel=args.parallel, max_attempts=args.max_attempts,
     )
     print(f"chaos at scale: n={report.n}, depth={report.depth}, "
           f"N={report.n_peers:,} peers (requested {args.scale:,}), "
@@ -490,7 +628,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
     reports = run_chaos_matrix(
         n_plans=args.plans, seed0=args.seed0,
         profiles=profiles, layers=layers,
-        transport=args.transport or "reliable",
+        transport=args.transport,
     )
     print(format_matrix(reports))
     heaps = [r.heap for r in reports if r.heap]
@@ -509,10 +647,10 @@ def _run_campaign(args: argparse.Namespace) -> int:
     profiles = args.profiles.split(",") if args.profiles else None
     reports = run_campaign_matrix(
         n_plans=args.plans, seed0=args.seed0, profiles=profiles,
-        rounds=args.rounds or 10,
-        n_peers=args.peers or 12,
-        parallel=args.parallel or "off",
-        transport=args.transport or "reliable",
+        rounds=args.rounds,
+        n_peers=args.peers,
+        parallel=args.parallel,
+        transport=args.transport,
         reshard=not args.static,
         raft=not args.no_raft,
         checkpoint_dir=args.checkpoint_dir,
@@ -540,31 +678,22 @@ def _run_serve(args: argparse.Namespace) -> int:
     from .core.topology import Topology
     from .core.wire_round import run_two_layer_wire_round
     from .obs import runtime as _runtime
-    from .obs.scale import resource_snapshot
-    from .obs.serve import MetricsPortInUseError, MetricsServer, StatusBoard
+    from .obs.serve import StatusBoard
 
     n_peers, group_size, k = 12, 4, 3
     topology = Topology.by_group_size(n_peers, group_size)
     max_crashes = max(0, min(len(g) for g in topology.groups) - k)
     profiles = list(PROFILES)
-    port = args.metrics_port if args.metrics_port is not None else 0
 
     with _runtime.observe(causal=True) as obs:
         board = StatusBoard().attach(obs.bus)
         link = obs.attach_link()
         flight = obs.attach_flight(out_dir=args.incident_dir)
-        try:
-            server = MetricsServer(
-                metrics=obs.metrics, status=board, link=link,
-                host=args.serve_host, port=port,
-                resources=lambda: resource_snapshot(obs=obs),
-            ).start()
-        except MetricsPortInUseError as exc:
-            log.error("%s", exc)
+        server = _start_metrics_server(
+            obs, args.serve_host, args.metrics_port, status=board, link=link,
+        )
+        if server is None:
             return 2
-        # An ephemeral request (port 0) resolves at bind time; print the
-        # chosen port on stdout so wrappers can scrape it.
-        print(f"metrics port: {server.port}", flush=True)
         log.info("serving %s/metrics and %s/status", server.url, server.url)
         try:
             for i in range(args.serve_rounds):
@@ -608,186 +737,100 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_trace(args: argparse.Namespace) -> int:
+    from .obs.scenario import run_trace_scenario
+
+    artifacts = run_trace_scenario(
+        args.events_out, args.metrics_out, args.trace_out, seed=args.seed,
+    )
+    return 0 if artifacts.summary["bits_exact"] else 1
+
+
+def _run_report(args: argparse.Namespace) -> int:
+    from .experiments.report import write_report
+
+    path = write_report(
+        args.out, rounds=args.rounds, trials=args.trials,
+        peers=args.peers, dataset=args.dataset,
+    )
+    log.info("wrote %s", path)
+    return 0
+
+
+def _run_plan(args: argparse.Namespace) -> int:
+    from .core.planner import PlanRequirements, enumerate_plans
+    from .nn.zoo import PAPER_CNN_PARAMS
+
+    req = PlanRequirements(sac_dropouts=args.plan_dropouts)
+    plans = enumerate_plans(
+        args.plan_peers, PAPER_CNN_PARAMS, req,
+        bandwidth_bps=args.plan_bandwidth,
+    )
+    print(f"Feasible plans for N={args.plan_peers} "
+          f"(tolerating {args.plan_dropouts} dropout/subgroup), "
+          "Fig. 5 CNN:")
+    print(f"{'n':>4}{'k':>4}{'m':>4}{'Gb/round':>10}{'gain':>8}"
+          f"{'latency s':>11}")
+    for p in plans:
+        lat = f"{p.latency_ms / 1e3:10.2f}" if p.latency_ms else f"{'-':>10}"
+        print(f"{p.n:>4}{p.k:>4}{p.m:>4}{p.volume_gb:>10.2f}"
+              f"{p.reduction_vs_baseline:>7.2f}x{lat:>11}")
+    return 0
+
+
+def _run_figures(args: argparse.Namespace) -> int:
+    """Print one figure's table (``all``: every one); ``--csv`` dumps series."""
+    from . import experiments as ex
+    from .experiments import csv_export
+
+    titles = {
+        "fig6": "Fig. 6 — final test accuracy",
+        "fig7": "Fig. 7 — training loss (see CSV for curves)",
+        "fig8": "Fig. 8 — accuracy vs fraction p",
+        "fig9": "Fig. 9 — loss vs fraction p (see CSV for curves)",
+        "fig10": "Fig. 10 — subgroup leader re-election",
+        "fig11": "Fig. 11 — re-election + FedAvg join",
+        "fig12": "Fig. 12 — FedAvg leader crash, full recovery",
+    }
+    fl_cache: dict = {}  # figs 6/7 and 8/9 each share one set of runs
+    for fig in ALL_FIGURES if args.command == "all" else [args.command]:
+        csv = None
+        if fig == "env":
+            print(ex.format_table1())
+        elif fig in ("fig6", "fig7", "fig8", "fig9"):
+            run = ex.run_fig6_fig7 if fig in ("fig6", "fig7") \
+                else ex.run_fig8_fig9
+            if run not in fl_cache:
+                fl_cache[run] = run(n_peers=args.peers, rounds=args.rounds,
+                                    dataset=args.dataset)
+            print(ex.format_accuracy_table(fl_cache[run], titles[fig]))
+            csv = (csv_export.write_fl_runs, fl_cache[run],
+                   f"{fig}_curves.csv")
+        elif fig in ("fig10", "fig11", "fig12"):
+            stats = getattr(ex, f"run_{fig}")(trials=args.trials)
+            print(ex.format_recovery_table(stats, titles[fig]))
+            csv = (csv_export.write_recovery_stats, stats,
+                   f"{fig}_recovery.csv")
+        else:
+            run, fmt = {
+                "fig13": (ex.run_fig13, ex.format_fig13),
+                "fig14": (ex.run_fig14, ex.format_fig14),
+                "multilayer": (ex.run_multilayer_table, ex.format_multilayer),
+            }[fig]
+            points = run()
+            print(fmt(points))
+            csv = (csv_export.write_cost_points, points, f"{fig}_costs.csv")
+        if csv is not None and args.csv is not None:
+            writer, data, name = csv
+            log.info("[csv] wrote %s", writer(data, os.path.join(args.csv, name)))
+        print()
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     set_level(args.log_level)
-
-    if args.figure == "bench":
-        return _run_bench(args)
-
-    if args.figure == "prof":
-        return _run_prof(args)
-
-    if args.figure == "xlayer":
-        return _run_xlayer(args)
-
-    if args.figure == "chaos":
-        return _run_chaos(args)
-
-    if args.figure == "campaign":
-        return _run_campaign(args)
-
-    if args.figure == "serve-metrics":
-        return _run_serve(args)
-
-    if args.figure == "trace":
-        from .obs.scenario import run_trace_scenario
-
-        events, metrics, chrome = _trace_paths(args)
-        artifacts = run_trace_scenario(
-            events, metrics, chrome, seed=args.seed,
-        )
-        return 0 if artifacts.summary["bits_exact"] else 1
-
-    from . import experiments as ex
-    from .obs import runtime as _runtime
-
-    # Any other figure: optionally capture events/metrics as a side effect.
-    capture = (
-        any((args.events_out, args.metrics_out, args.trace_out))
-        or args.metrics_port is not None
-    )
-    ctx = _runtime.observe() if capture else None
-    obs = ctx.__enter__() if ctx is not None else None
-    server = None
-    if obs is not None and args.metrics_port is not None:
-        from .obs.scale import resource_snapshot
-        from .obs.serve import MetricsPortInUseError, MetricsServer
-
-        try:
-            server = MetricsServer(
-                metrics=obs.metrics, host=args.serve_host,
-                port=args.metrics_port,
-                resources=lambda: resource_snapshot(obs=obs),
-            ).start()
-        except MetricsPortInUseError as exc:
-            log.error("%s", exc)
-            ctx.__exit__(None, None, None)
-            return 2
-        print(f"metrics port: {server.port}", flush=True)
-        log.info("metrics live at %s/metrics", server.url)
-
-    try:
-        if args.figure == "report":
-            from .experiments.report import write_report
-
-            path = write_report(
-                args.out, rounds=args.rounds, trials=args.trials,
-                peers=args.peers, dataset=args.dataset,
-            )
-            log.info("wrote %s", path)
-            return 0
-
-        if args.figure == "plan":
-            from .core.planner import PlanRequirements, enumerate_plans
-            from .nn.zoo import PAPER_CNN_PARAMS
-
-            req = PlanRequirements(sac_dropouts=args.plan_dropouts)
-            plans = enumerate_plans(
-                args.plan_peers, PAPER_CNN_PARAMS, req,
-                bandwidth_bps=args.plan_bandwidth,
-            )
-            print(f"Feasible plans for N={args.plan_peers} "
-                  f"(tolerating {args.plan_dropouts} dropout/subgroup), "
-                  "Fig. 5 CNN:")
-            print(f"{'n':>4}{'k':>4}{'m':>4}{'Gb/round':>10}{'gain':>8}"
-                  f"{'latency s':>11}")
-            for p in plans:
-                lat = f"{p.latency_ms / 1e3:10.2f}" if p.latency_ms else f"{'-':>10}"
-                print(f"{p.n:>4}{p.k:>4}{p.m:>4}{p.volume_gb:>10.2f}"
-                      f"{p.reduction_vs_baseline:>7.2f}x{lat:>11}")
-            return 0
-
-        csv_dir = args.csv
-        want = (
-            ["fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-             "fig13", "fig14", "multilayer", "env"]
-            if args.figure == "all"
-            else [args.figure]
-        )
-
-        def maybe_csv(writer, data, name):
-            if csv_dir is not None:
-                path = writer(data, os.path.join(csv_dir, name))
-                log.info("[csv] wrote %s", path)
-
-        fl_cache: dict[str, list] = {}
-
-        def fl_runs(which: str):
-            if which not in fl_cache:
-                if which == "fig6_7":
-                    fl_cache[which] = ex.run_fig6_fig7(
-                        n_peers=args.peers, rounds=args.rounds, dataset=args.dataset
-                    )
-                else:
-                    fl_cache[which] = ex.run_fig8_fig9(
-                        n_peers=args.peers, rounds=args.rounds, dataset=args.dataset
-                    )
-            return fl_cache[which]
-
-        for fig in want:
-            if fig == "env":
-                print(ex.format_table1())
-            elif fig in ("fig6", "fig7"):
-                runs = fl_runs("fig6_7")
-                title = "Fig. 6 — final test accuracy" if fig == "fig6" else \
-                    "Fig. 7 — training loss (see CSV for curves)"
-                print(ex.format_accuracy_table(runs, title))
-                from .experiments.csv_export import write_fl_runs
-
-                maybe_csv(write_fl_runs, runs, f"{fig}_curves.csv")
-            elif fig in ("fig8", "fig9"):
-                runs = fl_runs("fig8_9")
-                title = "Fig. 8 — accuracy vs fraction p" if fig == "fig8" else \
-                    "Fig. 9 — loss vs fraction p (see CSV for curves)"
-                print(ex.format_accuracy_table(runs, title))
-                from .experiments.csv_export import write_fl_runs
-
-                maybe_csv(write_fl_runs, runs, f"{fig}_curves.csv")
-            elif fig in ("fig10", "fig11", "fig12"):
-                runner = {"fig10": ex.run_fig10, "fig11": ex.run_fig11,
-                          "fig12": ex.run_fig12}[fig]
-                stats = runner(trials=args.trials)
-                titles = {
-                    "fig10": "Fig. 10 — subgroup leader re-election",
-                    "fig11": "Fig. 11 — re-election + FedAvg join",
-                    "fig12": "Fig. 12 — FedAvg leader crash, full recovery",
-                }
-                print(ex.format_recovery_table(stats, titles[fig]))
-                from .experiments.csv_export import write_recovery_stats
-
-                maybe_csv(write_recovery_stats, stats, f"{fig}_recovery.csv")
-            elif fig == "fig13":
-                points = ex.run_fig13()
-                print(ex.format_fig13(points))
-                from .experiments.csv_export import write_cost_points
-
-                maybe_csv(write_cost_points, points, "fig13_costs.csv")
-            elif fig == "fig14":
-                series = ex.run_fig14()
-                print(ex.format_fig14(series))
-                from .experiments.csv_export import write_cost_points
-
-                maybe_csv(write_cost_points, series, "fig14_costs.csv")
-            elif fig == "multilayer":
-                points = ex.run_multilayer_table()
-                print(ex.format_multilayer(points))
-                from .experiments.csv_export import write_cost_points
-
-                maybe_csv(write_cost_points, points, "multilayer_costs.csv")
-            print()
-        return 0
-    finally:
-        if server is not None:
-            server.stop()
-        if ctx is not None:
-            ctx.__exit__(None, None, None)
-            if args.events_out:
-                log.info("events  -> %s", obs.write_events_jsonl(args.events_out))
-            if args.metrics_out:
-                log.info("metrics -> %s", obs.write_prometheus(args.metrics_out))
-            if args.trace_out:
-                log.info("timeline-> %s", obs.write_chrome_trace(args.trace_out))
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@
 - the rounds between storms are quiesced — fault-free, churn-free —
   and run in the requested ``parallel`` mode; the :mod:`repro.par`
   determinism contract makes the campaign's sim-side results
-  bit-identical across ``parallel={off,threads,process}``
+  bit-identical across ``parallel={off,threads}``
   (:meth:`CampaignReport.fingerprint` is the proof handle);
 - when churn pushes a group below the k-of-n floor or past the balance
   bound, the re-sharding planner (:mod:`repro.core.resharding`) emits a
@@ -153,7 +153,7 @@ class CampaignReport:
     def fingerprint(self) -> str:
         """SHA-256 over the campaign's deterministic sim-side results.
 
-        Identical across ``parallel={off,threads,process}`` by the
+        Identical across ``parallel={off,threads}`` by the
         :mod:`repro.par` contract — the acceptance handle for campaign
         determinism.
         """

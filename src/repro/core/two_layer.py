@@ -60,7 +60,7 @@ class TwoLayerAggregator:
     bits_per_param:
         Wire width per weight scalar, for cost accounting.
     parallel:
-        ``"off"`` (default), ``"threads"`` or ``"process"`` — run the
+        ``"off"`` (default) or ``"threads"`` — run the
         per-subgroup SAC rounds concurrently (see :mod:`repro.par`).
         Each subgroup draws a child seed from the round generator in
         group order, so the result is bit-identical across all modes.
@@ -159,7 +159,7 @@ class TwoLayerAggregator:
             # and give each survivor a child seed drawn from the round
             # generator *in group order* — the per-group streams are then
             # independent, so the SAC rounds can run inline or fanned out
-            # (threads/process) with bit-identical results.
+            # on threads with bit-identical results.
             jobs: list[FtSacJob] = []
             job_members: dict[int, tuple[int, ...]] = {}
             job_k_eff: dict[int, int] = {}

@@ -183,11 +183,6 @@ class WireRoundResult:
     #: simulator heap telemetry at round end (see ``Simulator.heap_stats``).
     heap_stats: dict = field(default_factory=dict)
 
-    @property
-    def completed(self) -> bool:
-        """Deprecated: pre-outcome boolean; use ``outcome`` instead."""
-        return self.outcome.ok
-
 
 def _check_crash_at(
     topology: Topology, crash_at: dict[int, float] | None
@@ -327,7 +322,7 @@ def run_two_layer_wire_round(
     — the Alg. 4 dropout scenario on the wire.
 
     ``parallel`` runs the ``m`` independent subgroup SAC rounds
-    concurrently (``"threads"`` or ``"process"``, see :mod:`repro.par`):
+    concurrently on threads (``"threads"``, see :mod:`repro.par`):
     per-peer seeds are spawned from the round seed in the same order as
     the sequential path, each subgroup simulates on its own clock
     starting at the shared ``t=0`` origin, and the fed layer replays

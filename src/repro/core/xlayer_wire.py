@@ -18,8 +18,8 @@ Everything is vectorized per *layer*, not per group:
   :meth:`~repro.simnet.network.Network.send_batch` delivery waves
   (``xl.share``, ``xl.subtotal`` / ``xl.upload``, then a top-down
   ``xl.bcast``), each one heap entry regardless of group count;
-- with ``parallel={"threads","process"}`` the share *math* of a layer
-  is chunked across workers via :mod:`repro.par` — all randomness is
+- with ``parallel="threads"`` the share *math* of a layer
+  is chunked across worker threads via :mod:`repro.par` — all randomness is
   drawn on the parent stream first, so results are bit-identical to
   ``"off"``.
 
@@ -114,7 +114,7 @@ def _share_chunk_subtotals(chunk: _ShareChunk) -> np.ndarray:
 
     Pure function of the pre-drawn noise — safe to fan across workers,
     and only the subtotals (not the ``n``-times-larger share tensor)
-    cross the process boundary.
+    are kept per chunk.
     """
     shares = apply_divide_noise(chunk.vals, chunk.rn, chunk.totals)
     g_c = chunk.vals.shape[0] // chunk.n

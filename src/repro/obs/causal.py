@@ -24,7 +24,7 @@ Span ids are deterministic and mode-independent: each
 boundary of the parallel executor (``sac.*`` traffic lives wholly
 inside one subgroup's private network; ``fed.*``/``sub.*`` traffic
 wholly in the parent's), the same round produces the same span ids
-under ``parallel="off"``, ``"threads"``, and ``"process"``.
+under ``parallel="off"`` and ``"threads"``.
 
 This module is the read side: rebuild the causal DAG from an event
 stream (:func:`build_dag`) and extract the longest causal chain per
@@ -63,8 +63,8 @@ __all__ = [
 class TraceContext:
     """One message send's identity in the causal DAG.
 
-    Frozen and field-picklable so it can cross the process-pool
-    boundary inside :class:`~repro.par.subgroup.SubgroupOutcome`.
+    Frozen so it can travel from a worker thread to the parent inside
+    :class:`~repro.par.subgroup.SubgroupOutcome`.
     """
 
     trace_id: str
@@ -117,7 +117,7 @@ class TraceSampler:
     the rest allocate no contexts at all.  The decision is a pure
     function of ``(seed, trace_id)`` — blake2b of ``"{seed}:{trace_id}"``
     mapped to a uniform in [0, 1) and compared against ``rate`` — so it
-    is identical across ``off``/``threads``/``process`` parallel modes
+    is identical across ``off``/``threads`` parallel modes
     and across reruns.  ``rate=1.0`` keeps everything (and is
     short-circuited before any hashing); ``rate=0.0`` keeps nothing.
 

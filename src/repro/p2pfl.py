@@ -57,7 +57,7 @@ class P2PFLConfig:
     round_interval_ms: float = 1_000.0
     timeout_base_ms: float = 50.0
     seed: int = 0
-    #: run the per-subgroup SAC rounds concurrently ("threads"/"process");
+    #: run the per-subgroup SAC rounds concurrently ("threads");
     #: bit-identical to "off" by the repro.par determinism contract
     parallel: str = "off"
 

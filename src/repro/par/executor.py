@@ -3,36 +3,31 @@
 The two-layer round (paper Alg. 3) treats its ``m`` subgroups as
 independent — that independence is the whole point of the sharded
 design, so the simulator exploits it: :func:`run_jobs` executes a list
-of picklable job descriptions under one of three modes,
+of job descriptions under one of two modes,
 
 - ``"off"``      — the paper-faithful inline loop (default everywhere);
 - ``"threads"``  — ``ThreadPoolExecutor``; numpy kernels release the GIL,
-  so batched share math overlaps across subgroups;
-- ``"process"``  — ``ProcessPoolExecutor`` (true multi-core), falling
-  back to threads when the platform cannot fork worker processes.
+  so batched share math overlaps across subgroups.
 
 Determinism contract: each job carries its own RNG seed (spawned by the
 caller from the round seed, in job order), so the computed *values* are
-identical across all three modes.  Observability is captured per job —
-each worker runs under a private :class:`~repro.obs.runtime.Observability`
-— and merged into the parent pipeline in **job order**, so the merged
-event stream and metrics are independent of scheduling order and
-reproducible run to run.
+identical in both modes.  Observability is captured per job — each
+worker thread runs under a private
+:class:`~repro.obs.runtime.Observability` — and merged into the parent
+pipeline in **job order**, so the merged event stream and metrics are
+independent of scheduling order and reproducible run to run.
 """
 
 from __future__ import annotations
 
-import functools
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from ..obs import runtime as _runtime
 
 #: Valid values for the ``parallel=`` knob.
-PARALLEL_MODES = ("off", "threads", "process")
+PARALLEL_MODES = ("off", "threads")
 
 
 def check_parallel_mode(mode: str) -> str:
@@ -43,71 +38,32 @@ def check_parallel_mode(mode: str) -> str:
     return mode
 
 
-@dataclass(frozen=True)
-class CollectedResult:
-    """One job's return value plus its captured observability."""
+def _call_collected(fn: Callable, item: Any, shim: Any,
+                    parent: Any) -> tuple[Any, Any]:
+    """Run one job on a worker thread under a private observability pipeline.
 
-    value: Any
-    events: tuple
-    metrics: dict
-
-
-def _call_collected(fn: Callable, item: Any, collect: bool,
-                    causal: bool = False,
-                    sample_rate: float = 1.0,
-                    sample_seed: int = 0) -> CollectedResult:
-    """Run one job under a private observability pipeline.
-
-    Works in all three execution contexts: in a worker *thread* the
-    installed :class:`~repro.obs.runtime.ThreadLocalObservability` shim
-    routes this thread's emissions to the private pipeline; in a worker
-    *process* (or inline) the private pipeline is installed globally for
-    the duration of the call.  ``causal`` carries the parent pipeline's
-    causal-tracing flag into the worker so span-carrying events are
-    produced (or not) exactly as on the sequential path, and
-    ``sample_rate``/``sample_seed`` carry its trace-sampling config so
-    the per-trace keep/drop decision (a pure function of seed and
-    trace id) is identical in every mode.  Workers always run full
-    retention — their streams are bounded by one subgroup's size and
-    raw histogram payloads merge into either parent mode.
+    The installed :class:`~repro.obs.runtime.ThreadLocalObservability`
+    ``shim`` routes this thread's emissions to the private pipeline.  It
+    copies the parent's causal-tracing flag, so span-carrying events are
+    produced (or not) exactly as on the sequential path, and its
+    trace-sampling config, so the per-trace keep/drop decision (a pure
+    function of seed and trace id) is identical in both modes.  Workers
+    always run full retention — their streams are bounded by one
+    subgroup's size and raw histogram payloads merge into either parent
+    mode.
     """
+    sampler = parent.sampler
     obs = _runtime.Observability(
-        enabled=collect, keep_events=collect, causal=causal,
-        causal_sample_rate=sample_rate, causal_sample_seed=sample_seed,
+        enabled=parent.enabled, keep_events=parent.enabled,
+        causal=parent.causal,
+        causal_sample_rate=sampler.rate if sampler is not None else 1.0,
+        causal_sample_seed=sampler.seed if sampler is not None else 0,
     )
-    current = _runtime.get()
-    if isinstance(current, _runtime.ThreadLocalObservability):
-        current.push(obs)
-        try:
-            value = fn(item)
-        finally:
-            current.pop()
-    else:
-        with _runtime.observe(obs):
-            value = fn(item)
-    return CollectedResult(value, tuple(obs.events), obs.metrics.snapshot())
-
-
-def _fan_out(calls: Sequence[Callable[[], CollectedResult]],
-             mode: str, parent: Any) -> list[CollectedResult]:
-    max_workers = min(len(calls), os.cpu_count() or 1) or 1
-    if mode == "process":
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as ex:
-                futures = [ex.submit(c) for c in calls]
-                return [f.result() for f in futures]
-        except (OSError, PermissionError, BrokenProcessPool):
-            # Sandboxed/fork-less platforms: degrade to threads (same
-            # results by the determinism contract, lower parallelism).
-            mode = "threads"
-    shim = _runtime.ThreadLocalObservability(parent)
-    _runtime.install(shim)
+    shim.push(obs)
     try:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            futures = [ex.submit(c) for c in calls]
-            return [f.result() for f in futures]
+        return fn(item), obs
     finally:
-        _runtime.install(parent)
+        shim.pop()
 
 
 def run_jobs(fn: Callable, items: Sequence[Any], mode: str) -> list:
@@ -115,10 +71,9 @@ def run_jobs(fn: Callable, items: Sequence[Any], mode: str) -> list:
 
     ``mode="off"`` (or a single item) runs the plain inline loop with
     events flowing straight to the parent pipeline.  Otherwise jobs run
-    concurrently, each under a private pipeline, and the captured events
-    and metrics are merged into the parent **in item order** afterwards.
-    For process mode, ``fn`` must be a module-level function and every
-    item and return value picklable.
+    on a thread pool, each under a private pipeline, and the captured
+    events and metrics are merged into the parent **in item order**
+    afterwards.
     """
     check_parallel_mode(mode)
     items = list(items)
@@ -127,18 +82,17 @@ def run_jobs(fn: Callable, items: Sequence[Any], mode: str) -> list:
     parent = _runtime.get()
     if isinstance(parent, _runtime.ThreadLocalObservability):
         raise RuntimeError("nested parallel fan-out is not supported")
-    collect = parent.enabled
-    causal = bool(getattr(parent, "causal", False))
-    sampler = getattr(parent, "sampler", None)
-    sample_rate = sampler.rate if sampler is not None else 1.0
-    sample_seed = sampler.seed if sampler is not None else 0
-    calls = [
-        functools.partial(_call_collected, fn, item, collect, causal,
-                          sample_rate, sample_seed)
-        for item in items
-    ]
-    collected = _fan_out(calls, mode, parent)
-    for c in collected:  # deterministic merge: job order, not finish order
-        parent.absorb_events(list(c.events))
-        parent.metrics.merge_snapshot(c.metrics)
-    return [c.value for c in collected]
+    shim = _runtime.ThreadLocalObservability(parent)
+    _runtime.install(shim)
+    try:
+        workers = min(len(items), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            futures = [ex.submit(_call_collected, fn, item, shim, parent)
+                       for item in items]
+            collected = [f.result() for f in futures]
+    finally:
+        _runtime.install(parent)
+    for _, obs in collected:  # deterministic merge: job order, not finish order
+        parent.absorb_events(list(obs.events))
+        parent.metrics.merge_snapshot(obs.metrics.snapshot())
+    return [value for value, _ in collected]

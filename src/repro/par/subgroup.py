@@ -1,4 +1,4 @@
-"""Picklable subgroup jobs for the parallel two-layer round.
+"""Subgroup jobs for the parallel two-layer round.
 
 Two job shapes mirror the two execution styles in the repo:
 
@@ -14,8 +14,7 @@ Two job shapes mirror the two execution styles in the repo:
 
 Both carry an explicit RNG seed spawned deterministically by the caller,
 so the computed shares — and hence every downstream value — are
-bit-identical whether the job runs inline, on a thread, or in a worker
-process.
+bit-identical whether the job runs inline or on a worker thread.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from ..simnet import FixedLatency, Network, Simulator, TraceRecorder
 
 @dataclass(frozen=True)
 class SubgroupTask:
-    """Everything one subgroup's wire-level SAC round needs, picklable."""
+    """Everything one subgroup's wire-level SAC round needs."""
 
     group: int
     members: tuple[int, ...]
@@ -66,7 +65,7 @@ class SubgroupOutcome:
     bits_by_kind: dict
     dropped: int = 0
     #: causal context of the delivery that completed the aggregate
-    #: (picklable; ``None`` when causal tracing is off)
+    #: (``None`` when causal tracing is off)
     finish_ctx: Optional[TraceContext] = None
 
 
@@ -129,7 +128,7 @@ def run_subgroup_round(task: SubgroupTask) -> SubgroupOutcome:
 
 @dataclass(frozen=True)
 class FtSacJob:
-    """One subgroup's functional Alg. 4 round (aggregator path), picklable."""
+    """One subgroup's functional Alg. 4 round (aggregator path)."""
 
     group: int
     models: tuple

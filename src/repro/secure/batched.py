@@ -96,7 +96,7 @@ def draw_divide_noise(
     Split out from :func:`batched_divide` so callers fanning the share
     *math* across workers (:mod:`repro.par`) can draw all noise on the
     parent stream first, keeping results bit-identical across
-    ``parallel={"off","threads","process"}``.
+    ``parallel={"off","threads"}``.
     """
     _check_n(n)
     rn = rng.random((b, n))

@@ -110,11 +110,6 @@ class ProtocolResult:
     drops: int = 0
 
     @property
-    def completed(self) -> bool:
-        """Deprecated: pre-outcome boolean; use ``outcome`` instead."""
-        return self.outcome.ok
-
-    @property
     def gigabits(self) -> float:
         return self.bits_sent / 1e9
 

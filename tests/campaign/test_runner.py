@@ -30,7 +30,7 @@ class TestDeterminism:
         b = run_campaign(seed=12, profile="mixed", rounds=6, raft=False)
         assert a.fingerprint() != b.fingerprint()
 
-    @pytest.mark.parametrize("mode", ["threads", "process"])
+    @pytest.mark.parametrize("mode", ["threads"])
     def test_parallel_modes_bit_identical(self, mode):
         base = run_campaign(seed=5, profile="crashes", rounds=6, raft=False,
                             parallel="off")

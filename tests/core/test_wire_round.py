@@ -23,7 +23,7 @@ class TestCorrectness:
         topo = Topology.by_group_size(12, 3)
         models = make_models(12)
         result = run_two_layer_wire_round(topo, models, k=2)
-        assert result.completed
+        assert result.outcome.ok
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), rtol=1e-10
         )
@@ -31,13 +31,13 @@ class TestCorrectness:
     def test_every_peer_receives_global_model(self):
         topo = Topology.by_group_size(9, 3)
         result = run_two_layer_wire_round(topo, make_models(9), k=None)
-        assert result.completed
+        assert result.outcome.ok
 
     def test_uneven_groups(self):
         topo = Topology.by_group_size(10, 3)  # 4, 3, 3
         models = make_models(10)
         result = run_two_layer_wire_round(topo, models, k=2)
-        assert result.completed
+        assert result.outcome.ok
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), rtol=1e-10
         )
@@ -46,7 +46,7 @@ class TestCorrectness:
         topo = Topology.single_group(5)
         models = make_models(5)
         result = run_two_layer_wire_round(topo, models)
-        assert result.completed
+        assert result.outcome.ok
         np.testing.assert_allclose(result.average, np.mean(models, axis=0))
 
     def test_deterministic(self):
@@ -97,7 +97,7 @@ class TestSeededCodecOnWire:
         result = run_two_layer_wire_round(
             topo, models, k=None, share_codec="seed"
         )
-        assert result.completed
+        assert result.outcome.ok
         assert result.bits_sent == two_layer_seeded_cost_from_topology(
             topo, None, size
         )
@@ -168,7 +168,7 @@ class TestLatencyValidation:
         result = run_two_layer_wire_round(
             topo, models, k=2, bandwidth_bps=bw, serialize_uplink=True
         )
-        assert result.completed
+        assert result.outcome.ok
         predicted = two_layer_round_latency_ms(topo, 2, size, bw).total_ms
         assert result.finish_time_ms == pytest.approx(predicted, rel=0.2)
 

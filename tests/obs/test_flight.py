@@ -114,7 +114,7 @@ class TestIncidents:
                 topo, models, k=3, seed=0, schedule=schedule,
                 trace_id="doomed:s0",
             )
-        assert not result.completed
+        assert not result.outcome.ok
         (inc_dir,) = rec.incidents
         manifest = json.load(open(os.path.join(inc_dir, "manifest.json")))
         path = manifest["critical_path"]
@@ -184,7 +184,7 @@ class TestEndToEnd:
             result = run_two_layer_wire_round(
                 topo, models, k=3, seed=0, schedule=schedule,
             )
-        assert not result.completed
+        assert not result.outcome.ok
         (inc_dir,) = rec.incidents
         events = _read_jsonl(os.path.join(inc_dir, "events.jsonl"))
         trigger = events[-1]

@@ -69,7 +69,7 @@ class TestLinkTelemetry:
                 _models(6), k=4, seed=0, loss_rate=0.25,
                 transport="reliable",
             )
-        assert result.completed
+        assert result.outcome.ok
         totals = link.pairs().values()
         # The default view excludes transport ACK frames, so compare
         # against the non-ACK event counts (result.drops includes ACKs).

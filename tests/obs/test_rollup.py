@@ -123,7 +123,7 @@ class TestRollupRetention:
         assert rolled.rollup.by_name == by_name
         assert rolled.rollup.total == len(full.events)
 
-    @pytest.mark.parametrize("mode", ["threads", "process"])
+    @pytest.mark.parametrize("mode", ["threads"])
     def test_absorb_merge_aggregates_match_sequential(self, mode):
         # Workers run full retention; the parent absorbs their events
         # in subgroup order.  The parallel contract is multiset (not
@@ -151,7 +151,7 @@ class TestRollupRetention:
     def test_absorb_merge_order_is_deterministic(self):
         # The absorb order (subgroup order) is fixed, so the *entire*
         # rollup snapshot — exemplars included, the strictest ordering
-        # probe — is bit-identical across parallel modes and repeats.
+        # probe — is bit-identical across threaded repeats.
         topo = Topology.by_group_size(9, 3)
         models = _models(topo, seed=3)
 
@@ -165,7 +165,6 @@ class TestRollupRetention:
 
         first = run("threads")
         assert run("threads") == first
-        assert run("process") == first
 
 
 class TestResourceAccounting:
@@ -215,7 +214,7 @@ class TestResourceAccounting:
         models = _models(topo)
         with _runtime.observe():
             result = run_two_layer_wire_round(topo, models, k=2, seed=0)
-        assert result.completed
+        assert result.outcome.ok
         # The accounting is wired into Network.physical_send/deliver;
         # peaks are visible on the sim heap too.
         from repro.simnet.events import Simulator

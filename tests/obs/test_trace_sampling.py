@@ -74,7 +74,7 @@ def _run_rounds(mode, rate):
                 topo, _models(topo, i), k=3, seed=i, parallel=mode,
                 trace_id=trace_id,
             )
-            assert result.completed
+            assert result.outcome.ok
             finishes[trace_id] = result.finish_time_ms
     return obs, finishes
 
@@ -122,7 +122,7 @@ class TestSampledRounds:
         for trace_id, path in paths.items():
             assert path.end_ms == finishes[trace_id]
 
-    @pytest.mark.parametrize("mode", ["threads", "process"])
+    @pytest.mark.parametrize("mode", ["threads"])
     def test_parallel_modes_keep_the_same_traces(self, mode, sampled_off):
         ref_obs, ref_finishes = sampled_off
         obs, finishes = _run_rounds(mode, RATE)

@@ -1,9 +1,10 @@
 """Observability merge plane under parallel execution.
 
 ``MetricsRegistry.merge_snapshot`` and ``EventBus.absorb`` are what let
-``parallel="process"`` workers ship their pipelines home; the contract
-is that the merged parent stream and registry are *bit-identical* to
-the sequential run's — including the causal span fields — for any seed.
+``parallel="threads"`` workers hand their private pipelines to the
+parent; the contract is that the merged parent stream and registry are
+*bit-identical* to the sequential run's — including the causal span
+fields — for any seed.
 """
 
 import numpy as np
@@ -106,29 +107,23 @@ class TestBusAbsorb:
             assert copy.fields == orig.fields  # span ids survive the hop
 
 
-class TestProcessParity:
+class TestThreadsParity:
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=5, deadline=None)
-    def test_process_bit_identical_across_seeds(self, seed):
+    def test_threads_bit_identical_across_seeds(self, seed):
         r_off, o_off = _run("off", seed)
-        r_proc, o_proc = _run("process", seed)
-        assert r_proc.completed == r_off.completed
-        assert np.array_equal(r_proc.average, r_off.average)
-        assert r_proc.finish_time_ms == r_off.finish_time_ms
-        assert _event_set(o_proc) == _event_set(o_off)
-        assert _sim_metrics(o_proc) == _sim_metrics(o_off)
-
-    def test_threads_and_process_streams_identical(self):
-        _, o_thr = _run("threads", 11)
-        _, o_proc = _run("process", 11)
-        assert _event_set(o_thr) == _event_set(o_proc)
-        assert _sim_metrics(o_thr) == _sim_metrics(o_proc)
+        r_thr, o_thr = _run("threads", seed)
+        assert r_thr.outcome.ok == r_off.outcome.ok
+        assert np.array_equal(r_thr.average, r_off.average)
+        assert r_thr.finish_time_ms == r_off.finish_time_ms
+        assert _event_set(o_thr) == _event_set(o_off)
+        assert _sim_metrics(o_thr) == _sim_metrics(o_off)
 
     def test_trace_span_counters_survive_the_merge(self):
         _, o_off = _run("off", 4)
-        _, o_proc = _run("process", 4)
+        _, o_thr = _run("threads", 4)
         off = o_off.metrics.snapshot()["trace_spans_total"]
-        proc = o_proc.metrics.snapshot()["trace_spans_total"]
-        assert off == proc
+        thr = o_thr.metrics.snapshot()["trace_spans_total"]
+        assert off == thr
         assert sum(off["children"].values()) \
             == len(o_off.events_named("net.send"))

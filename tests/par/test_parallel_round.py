@@ -1,12 +1,12 @@
 """Parallel subgroup execution must be bit-identical to sequential.
 
-The :mod:`repro.par` determinism contract: ``parallel="threads"`` and
-``parallel="process"`` change only *wall* time — every computed value
-(averages, finish times, traffic totals, observability stream) equals
-the ``"off"`` path exactly.  These tests assert that for the wire round
-(both share codecs, with and without mid-round crashes — including a
-forced Alg. 4 replica recovery under ``process``), the functional
-aggregator, and the integrated ``P2PFLSystem``.
+The :mod:`repro.par` determinism contract: ``parallel="threads"``
+changes only *wall* time — every computed value (averages, finish
+times, traffic totals, observability stream) equals the ``"off"`` path
+exactly.  These tests assert that for the wire round (both share
+codecs, with and without mid-round crashes — including a forced Alg. 4
+replica recovery on a worker thread), the functional aggregator, and
+the integrated ``P2PFLSystem``.
 """
 
 import numpy as np
@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.multi_layer import MultiLayerTopology
 from repro.core.topology import Topology
 from repro.core.two_layer import TwoLayerAggregator
 from repro.core.wire_round import run_two_layer_wire_round
+from repro.core.xlayer_wire import run_xlayer_wire_round
 from repro.obs import runtime as _runtime
 from repro.par import (
     PARALLEL_MODES,
@@ -54,7 +56,7 @@ def _event_set(obs):
 
 
 def _assert_identical(a, b):
-    assert b.completed == a.completed
+    assert b.outcome.ok == a.outcome.ok
     assert np.array_equal(b.average, a.average)
     assert b.finish_time_ms == a.finish_time_ms
     assert b.bits_sent == a.bits_sent
@@ -74,40 +76,39 @@ class TestWireRoundParity:
         _assert_identical(r_off, r_thr)
         assert _event_set(o_thr) == _event_set(o_off)
 
-    def test_process_bitwise_identical(self):
+    def test_threads_bitwise_identical_four_groups(self):
         topo = Topology.by_group_count(12, 4)
         models = _models(topo, 5)
         r_off, o_off = _run(topo, models, "off", seed=5)
-        r_prc, o_prc = _run(topo, models, "process", seed=5)
-        _assert_identical(r_off, r_prc)
-        assert _event_set(o_prc) == _event_set(o_off)
+        r_thr, o_thr = _run(topo, models, "threads", seed=5)
+        _assert_identical(r_off, r_thr)
+        assert _event_set(o_thr) == _event_set(o_off)
 
     def test_leader_sets_and_sim_metrics_match(self):
         topo = Topology.by_group_size(12, 4)
         models = _models(topo, 9)
-        for mode in ("threads", "process"):
-            r_off, o_off = _run(topo, models, "off", seed=9)
-            r_par, o_par = _run(topo, models, mode, seed=9)
-            _assert_identical(r_off, r_par)
-            done = lambda o: sorted(
-                (e.fields["group"], e.node)
-                for e in o.events if e.name == "round.subgroup_done"
-            )
-            # Same leaders report the same subgroups done at the same time.
-            assert done(o_par) == done(o_off)
+        r_off, o_off = _run(topo, models, "off", seed=9)
+        r_thr, o_thr = _run(topo, models, "threads", seed=9)
+        _assert_identical(r_off, r_thr)
+        done = lambda o: sorted(
+            (e.fields["group"], e.node)
+            for e in o.events if e.name == "round.subgroup_done"
+        )
+        # Same leaders report the same subgroups done at the same time.
+        assert done(o_thr) == done(o_off)
 
-    def test_dropout_recovery_under_process(self):
+    def test_dropout_recovery_under_threads(self):
         # Group size 4, k=3 (n < 2k): crash one non-leader at t=20 ms —
         # after its share bundles landed, before its subtotal arrives —
-        # forcing the Alg. 4 lines 17-18 replica fetch inside a worker
-        # process.
+        # forcing the Alg. 4 lines 17-18 replica fetch on a worker
+        # thread.
         topo = Topology.by_group_size(8, 4)
         models = _models(topo, 11)
         victim = topo.groups[1][2]
         crash = {victim: 20.0}
         results = {}
         recovered = {}
-        for mode in ("off", "process", "threads"):
+        for mode in ("off", "threads"):
             obs = _runtime.Observability(enabled=True, keep_events=True)
             with _runtime.observe(obs):
                 results[mode] = run_two_layer_wire_round(
@@ -117,12 +118,11 @@ class TestWireRoundParity:
                 tuple(e.fields.get("recovered", ()))
                 for e in obs.events if e.name == "sac.complete"
             ]
-        assert results["off"].completed
+        assert results["off"].outcome.ok
         # The crashed peer's subtotal share really was recovered.
         assert any(rec for rec in recovered["off"])
-        for mode in ("process", "threads"):
-            _assert_identical(results["off"], results[mode])
-            assert sorted(recovered[mode]) == sorted(recovered["off"])
+        _assert_identical(results["off"], results["threads"])
+        assert sorted(recovered["threads"]) == sorted(recovered["off"])
 
     def test_crashed_leader_rejected(self):
         topo = Topology.by_group_size(9, 3)
@@ -143,9 +143,20 @@ class TestWireRoundParity:
         assert check_parallel_mode("off") == "off"
         with pytest.raises(ValueError, match="parallel mode"):
             check_parallel_mode("fork")
+        with pytest.raises(ValueError, match="parallel mode"):
+            check_parallel_mode("process")
         topo = Topology.by_group_size(6, 3)
-        with pytest.raises(ValueError):
-            run_two_layer_wire_round(topo, _models(topo, 0), parallel="no")
+        models = _models(topo, 0)
+        tree = MultiLayerTopology(3, 2)
+        for mode in ("no", "process"):
+            with pytest.raises(ValueError, match="parallel mode"):
+                run_two_layer_wire_round(topo, models, parallel=mode)
+            with pytest.raises(ValueError, match="parallel mode"):
+                TwoLayerAggregator(topo, k=2, parallel=mode)
+            with pytest.raises(ValueError, match="parallel mode"):
+                run_xlayer_wire_round(
+                    tree, np.zeros((tree.n_peers, 4)), parallel=mode
+                )
 
 
 class TestAggregatorParity:
@@ -184,11 +195,10 @@ class TestAggregatorParity:
 
         a = run("off")
         assert a.failed_groups == (1,)
-        for mode in ("threads", "process"):
-            b = run(mode)
-            assert np.array_equal(b.average, a.average)
-            assert b.bits_sent == a.bits_sent
-            assert b.failed_groups == a.failed_groups
+        b = run("threads")
+        assert np.array_equal(b.average, a.average)
+        assert b.bits_sent == a.bits_sent
+        assert b.failed_groups == a.failed_groups
 
 
 class TestRunJobs:

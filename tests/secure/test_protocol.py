@@ -17,7 +17,7 @@ class TestFailureFree:
     def test_result_equals_mean(self):
         models = make_models(5)
         result = run_sac_protocol(models, k=3)
-        assert result.completed
+        assert result.outcome.ok
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), rtol=1e-10
         )
@@ -29,7 +29,7 @@ class TestFailureFree:
             size = 50
             models = make_models(n, size=size)
             result = run_sac_protocol(models, k=k)
-            assert result.completed
+            assert result.outcome.ok
             payload = expected_ft_sac_bits(n, k, size)
             assert result.bits_sent == payload  # no recovery -> no overhead
 
@@ -41,7 +41,7 @@ class TestFailureFree:
     def test_k1_leader_self_sufficient_after_one_hop(self):
         # k=1: everyone holds every share; the leader needs no subtotals.
         result = run_sac_protocol(make_models(4), k=1, delay_ms=15.0)
-        assert result.completed
+        assert result.outcome.ok
         assert result.finish_time_ms == pytest.approx(15.0)
 
     def test_different_leader(self):
@@ -59,7 +59,7 @@ class TestDropouts:
         result = run_sac_protocol(
             models, k=2, leader=1, crash_at={0: 20.0}, subtotal_timeout_ms=50.0
         )
-        assert result.completed
+        assert result.outcome.ok
         np.testing.assert_allclose(
             result.average, np.mean(models, axis=0), rtol=1e-10
         )
@@ -87,7 +87,7 @@ class TestDropouts:
             models, k=3, leader=2, crash_at={0: 20.0, 4: 20.0},
             subtotal_timeout_ms=50.0, round_timeout_ms=5_000.0,
         )
-        assert result.completed
+        assert result.outcome.ok
         np.testing.assert_allclose(result.average, np.mean(models, axis=0))
 
     def test_crash_before_share_phase_fails_round(self):
@@ -98,7 +98,7 @@ class TestDropouts:
             models, k=2, leader=1, crash_at={0: 0.0},
             subtotal_timeout_ms=50.0, round_timeout_ms=1_000.0,
         )
-        assert not result.completed
+        assert not result.outcome.ok
         assert result.average is None
 
     def test_crashing_leader_rejected(self):

@@ -33,23 +33,3 @@ class TestRoundOutcome:
         assert str(RoundOutcome(LEADER_ISOLATED, "partition")) == \
             "leader_isolated(partition)"
         assert str(OUTCOME_COMPLETED) == "completed"
-
-
-class TestDeprecatedCompletedCompat:
-    def test_protocol_result_completed_mirrors_outcome(self):
-        from repro.secure.protocol import run_sac_protocol
-
-        models = [np.random.default_rng(i).normal(size=8) for i in range(4)]
-        good = run_sac_protocol(models, k=3, seed=0)
-        assert good.outcome.ok and good.completed is True
-        bad = run_sac_protocol(models, k=3, seed=0, crash_at={1: 0.0, 2: 0.0})
-        assert bad.outcome.degraded and bad.completed is False
-
-    def test_wire_round_result_completed_mirrors_outcome(self):
-        from repro.core.topology import Topology
-        from repro.core.wire_round import run_two_layer_wire_round
-
-        topo = Topology.by_group_count(6, 2)
-        models = [np.random.default_rng(i).normal(size=8) for i in range(6)]
-        result = run_two_layer_wire_round(topo, models, k=2, seed=0)
-        assert result.outcome.ok and result.completed is True
